@@ -5,8 +5,9 @@
 //   * PipeChannel   — functional plane, in-memory, encodes/decodes through
 //                     the real codec and hops executors (deterministic-ish,
 //                     fast, used by most protocol tests);
-//   * SocketChannel — functional plane over a real socketpair with framing
-//                     and a reader thread (exercises the OS path);
+//   * SocketChannel — functional plane over a real socketpair or TCP
+//                     connection with framing, read on readiness by the
+//                     receiving RealExecutor itself (exercises the OS path);
 //   * Sim*Channel   — timing plane: delivery is scheduled on the virtual
 //                     clock according to a fabric cost model.
 // Handlers always run on the receiving endpoint's Executor; protocol engines

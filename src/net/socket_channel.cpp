@@ -1,185 +1,387 @@
 #include "net/socket_channel.h"
 
+#include <fcntl.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <cstring>
-#include <mutex>
-#include <thread>
+#include <deque>
+#include <memory>
 
 #include "common/log.h"
 #include "common/mutex.h"
+#include "sim/real_executor.h"
 
 namespace oaf::net {
 
 namespace {
 
-/// MSG_NOSIGNAL: a peer that vanishes mid-run (path kill, crash) must
-/// surface as a send error on this channel, not a process-wide SIGPIPE —
-/// with multipath the other connections keep serving.
-bool write_all(int fd, const u8* data, size_t len) {
-  size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::send(fd, data + off, len - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
+using sim::RealExecutor;
+
+/// Framing buffer: one recv() takes in every small PDU the socket holds; a
+/// frame that does not fit reads the rest of its payload in place.
+constexpr size_t kRecvBytes = 16 * 1024;
+/// iovecs one flushing sendmsg() gathers from the send queue.
+constexpr size_t kMaxIov = 64;
+
+/// Non-blocking gather send. Returns the bytes taken (0 when the socket
+/// buffer is full) or -1 on a dead connection. MSG_NOSIGNAL: a peer that
+/// vanishes mid-run (path kill, crash) must surface as a send error on this
+/// channel, not a process-wide SIGPIPE — with multipath the other
+/// connections keep serving.
+ssize_t send_iov(int fd, iovec* iov, size_t count) {
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = count;
+  for (;;) {
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n >= 0) return n;
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
+    return -1;
   }
-  return true;
 }
 
-bool read_all(int fd, u8* data, size_t len) {
-  size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::read(fd, data + off, len - off);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;  // peer closed or error
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-/// Handler slot shared with posted deliveries, so a delivery that is still
-/// queued on the executor when the endpoint is destroyed finds an empty slot
-/// instead of a dangling endpoint. PDUs that arrive before a handler is
-/// installed park in `pending` and flush in arrival order once set_handler
-/// runs — an ICReq can land on a freshly accepted connection before its
-/// engine finishes constructing, and dropping it would hang the handshake.
-struct HandlerBox {
-  Mutex mu;
-  MsgChannel::Handler handler OAF_GUARDED_BY(mu);
-  std::vector<pdu::Pdu> pending OAF_GUARDED_BY(mu);
+/// A frame the socket did not take whole: its encoded header, its payload,
+/// and how many of their bytes have gone out.
+struct OutFrame {
+  std::vector<u8> head;
+  std::vector<u8> payload;
+  size_t sent = 0;
 };
 
-/// Deliver `pdu` through the box's handler, or park it if none is installed
-/// yet. Runs on the executor thread; drains parked PDUs first so arrival
-/// order survives the handoff.
-void deliver(const std::shared_ptr<HandlerBox>& box, pdu::Pdu pdu) {
-  std::vector<pdu::Pdu> batch;
-  MsgChannel::Handler h;
-  {
-    MutexLock lk(box->mu);
-    box->pending.push_back(std::move(pdu));
-    if (!box->handler) return;
-    h = box->handler;
-    batch.swap(box->pending);
-  }
-  for (auto& p : batch) h(std::move(p));
-}
-
-/// Flush PDUs parked before set_handler. Also runs on the executor thread.
-void drain(const std::shared_ptr<HandlerBox>& box) {
-  std::vector<pdu::Pdu> batch;
-  MsgChannel::Handler h;
-  {
-    MutexLock lk(box->mu);
-    if (!box->handler || box->pending.empty()) return;
-    h = box->handler;
-    batch.swap(box->pending);
-  }
-  for (auto& p : batch) h(std::move(p));
-}
-
-class SocketEndpoint final : public MsgChannel {
+/// One connected stream socket: the send queue, framing, and receive state.
+/// The channel the engine holds and the reactor polling the fd share it, so
+/// it outlives whichever lets go first, and an event the reactor already
+/// returned never finds it freed.
+///
+/// Threads: the receive side (handler, framing buffer, partial PDU) runs
+/// only on the reactor. send() and close() may run on any thread; they and
+/// the reactor's flushes serialize on mu_, which also guards what the fd is
+/// polled for.
+class Stream final : public RealExecutor::IoSource,
+                     public std::enable_shared_from_this<Stream> {
  public:
-  SocketEndpoint(int fd, Executor& exec, pdu::CodecOptions opts)
-      : fd_(fd), exec_(exec), opts_(opts), box_(std::make_shared<HandlerBox>()) {}
+  Stream(int fd, const pdu::CodecOptions& opts) : fd_(fd), opts_(opts) {}
+  ~Stream() override { ::close(fd_); }
 
-  ~SocketEndpoint() override {
-    close();
-    if (reader_.joinable()) reader_.join();
-    ::close(fd_);
-    MutexLock lk(box_->mu);
-    box_->handler = nullptr;
-  }
+  Stream(const Stream&) = delete;
+  Stream& operator=(const Stream&) = delete;
 
-  void start() {
-    reader_ = std::thread([this] { read_loop(); });
-  }
-
-  void send(pdu::Pdu pdu) override {
-    if (!open_.load(std::memory_order_acquire)) return;
-    const std::vector<u8> encoded = pdu::encode(pdu, opts_);
-    MutexLock lk(write_mu_);
-    if (!write_all(fd_, encoded.data(), encoded.size())) {
-      open_.store(false, std::memory_order_release);
+  /// Reactor thread, posted by the channel's constructor: join the reactor.
+  void attach() {
+    RealExecutor* reactor = RealExecutor::current();
+    if (reactor == nullptr) {
+      OAF_ERROR("socket channel: executor does not run on a RealExecutor; "
+                "the channel cannot receive");
       return;
     }
-    bytes_sent_ += encoded.size();
-    pdus_sent_++;
+    MutexLock lk(mu_);
+    if (detached_ && sendq_.empty()) return;
+    reactor_ = reactor;
+    reactor->adopt(shared_from_this());
+    sync();
   }
 
-  void set_handler(Handler handler) override {
-    {
-      MutexLock lk(box_->mu);
-      box_->handler = std::move(handler);
+  /// Reactor thread: install the handler and start reading. Until then a
+  /// PDU the peer sent waits in the kernel's buffer.
+  void install(MsgChannel::Handler handler) {
+    handler_ = std::move(handler);
+    MutexLock lk(mu_);
+    reading_ = handler_ && is_open();
+    sync();
+  }
+
+  void send(pdu::Pdu pdu) {
+    MutexLock lk(mu_);
+    if (!is_open() || shut_) return;
+    pdu::encode_header(pdu, opts_, head_);
+    const size_t total = head_.size() + pdu.payload.size();
+    size_t sent = 0;
+    if (sendq_.empty()) {
+      iovec iov[2] = {{head_.data(), head_.size()},
+                      {pdu.payload.data(), pdu.payload.size()}};
+      const ssize_t n = send_iov(fd_, iov, pdu.payload.empty() ? 1 : 2);
+      if (n < 0) return fail_send();
+      sent = static_cast<size_t>(n);
     }
-    // Flush any PDUs that raced in before subscription. Posted (not invoked
-    // inline) so parked PDUs are delivered on the executor thread, ahead of
-    // deliveries the reader posts after this point (FIFO executor).
-    exec_.post([box = box_] { drain(box); });
+    bytes_sent_.fetch_add(total, std::memory_order_relaxed);
+    pdus_sent_.fetch_add(1, std::memory_order_relaxed);
+    if (sent == total) return;
+    // The socket is full: queue the rest (the payload moves, it is not
+    // copied) and flush it when the reactor reports the fd writable.
+    sendq_.push_back(OutFrame{head_, std::move(pdu.payload), sent});
+    sync();
   }
 
-  void close() override {
-    if (open_.exchange(false, std::memory_order_acq_rel)) {
-      ::shutdown(fd_, SHUT_RDWR);
-    }
+  /// Stops delivery now; the socket shuts down once the queue has flushed.
+  void close() {
+    if (!open_.exchange(false, std::memory_order_acq_rel)) return;
+    MutexLock lk(mu_);
+    sync();
   }
 
-  [[nodiscard]] bool is_open() const override {
+  /// The channel is gone: close, finish flushing, then leave the reactor.
+  void detach() {
+    close();
+    MutexLock lk(mu_);
+    detached_ = true;
+    sync();
+  }
+
+  [[nodiscard]] bool is_open() const {
     return open_.load(std::memory_order_acquire);
   }
-  [[nodiscard]] Executor& executor() override { return exec_; }
-  [[nodiscard]] u64 bytes_sent() const override { return bytes_sent_; }
-  [[nodiscard]] u64 pdus_sent() const override { return pdus_sent_; }
+  [[nodiscard]] u64 bytes_sent() const {
+    return bytes_sent_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] u64 pdus_sent() const {
+    return pdus_sent_.load(std::memory_order_relaxed);
+  }
+
+  void on_ready(u32 events) override {
+    if ((events & (EPOLLOUT | EPOLLERR | EPOLLHUP)) != 0) {
+      MutexLock lk(mu_);
+      if (!sendq_.empty()) {
+        flush();
+        sync();
+      }
+    }
+    if ((events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) receive();
+  }
+
+  void on_reactor_gone() override {
+    MutexLock lk(mu_);
+    reactor_ = nullptr;
+    polled_ = 0;
+  }
 
  private:
-  void read_loop() {
-    std::vector<u8> frame;
-    for (;;) {
-      u8 prefix[8];
-      if (!read_all(fd_, prefix, sizeof(prefix))) break;
-      auto len = pdu::frame_length(std::span<const u8>(prefix, sizeof(prefix)));
-      if (!len) {
-        OAF_ERROR("socket channel: bad frame: %s", len.status().to_string().c_str());
-        break;
-      }
-      frame.resize(len.value());
-      std::memcpy(frame.data(), prefix, sizeof(prefix));
-      if (len.value() > sizeof(prefix) &&
-          !read_all(fd_, frame.data() + sizeof(prefix),
-                    len.value() - sizeof(prefix))) {
-        break;
-      }
-      auto decoded = pdu::decode(frame, opts_);
-      if (!decoded) {
-        OAF_ERROR("socket channel decode failed: %s",
-                  decoded.status().to_string().c_str());
-        break;
-      }
-      exec_.post([box = box_, p = std::make_shared<pdu::Pdu>(std::move(decoded).take())] {
-        deliver(box, std::move(*p));
-      });
+  /// Bring the shutdown and what the fd is polled for in line with the
+  /// state: write interest while the queue holds bytes; read interest while
+  /// a handler is installed and the channel is open — or, once closed,
+  /// while the queue flushes, so a peer flushing to us cannot wedge our
+  /// flush (what arrives then is dropped).
+  void sync() OAF_REQUIRES(mu_) {
+    if (!is_open() && sendq_.empty() && !shut_) {
+      ::shutdown(fd_, SHUT_RDWR);
+      shut_ = true;
     }
+    u32 want = 0;
+    if (!sendq_.empty()) want |= EPOLLOUT;
+    if (reading_ && (is_open() || !sendq_.empty())) want |= EPOLLIN;
+    if (reactor_ == nullptr) return;
+    reactor_->poll(fd_, this, polled_, want);
+    polled_ = want;
+    if (want == 0 && detached_ && !released_) {
+      released_ = true;
+      reactor_->release(this);
+    }
+  }
+
+  void flush() OAF_REQUIRES(mu_) {
+    while (!sendq_.empty()) {
+      iovec iov[kMaxIov];
+      size_t count = 0;
+      for (OutFrame& f : sendq_) {
+        if (count + 2 > kMaxIov) break;
+        const size_t h = f.head.size();
+        if (f.sent < h) iov[count++] = {f.head.data() + f.sent, h - f.sent};
+        const size_t off = f.sent > h ? f.sent - h : 0;
+        if (off < f.payload.size()) {
+          iov[count++] = {f.payload.data() + off, f.payload.size() - off};
+        }
+      }
+      const ssize_t n = send_iov(fd_, iov, count);
+      if (n < 0) return fail_send();
+      if (n == 0) return;  // full again; the next EPOLLOUT resumes
+      auto left = static_cast<size_t>(n);
+      while (left > 0) {
+        OutFrame& f = sendq_.front();
+        const size_t rest = f.head.size() + f.payload.size() - f.sent;
+        if (left < rest) {
+          f.sent += left;
+          break;
+        }
+        left -= rest;
+        sendq_.pop_front();
+      }
+    }
+  }
+
+  void fail_send() OAF_REQUIRES(mu_) {
     open_.store(false, std::memory_order_release);
+    sendq_.clear();
+    sync();
+  }
+
+  void stop_reading(const char* why) {
+    if (why != nullptr) OAF_ERROR("socket channel: %s", why);
+    open_.store(false, std::memory_order_release);
+    MutexLock lk(mu_);
+    reading_ = false;
+    sync();
+  }
+
+  /// recv() returned `n` <= 0: EOF, a spurious wake-up, or a dead socket.
+  void recv_ended(ssize_t n) {
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+      return;
+    }
+    stop_reading(n == 0 ? nullptr : std::strerror(errno));
+  }
+
+  void receive() {
+    {
+      MutexLock lk(mu_);
+      if (!reading_) return;
+    }
+    if (in_payload_) return read_payload();
+    if (rbeg_ > 0) {
+      std::memmove(rbuf_.data(), rbuf_.data() + rbeg_, rend_ - rbeg_);
+      rend_ -= rbeg_;
+      rbeg_ = 0;
+    }
+    // Full of one frame's unfinished header (typed headers may reach
+    // 64 KiB): make room for the rest of it.
+    if (rend_ == rbuf_.size()) rbuf_.resize(2 * rbuf_.size());
+    const ssize_t n =
+        ::recv(fd_, rbuf_.data() + rend_, rbuf_.size() - rend_, 0);
+    if (n <= 0) return recv_ended(n);
+    if (!is_open()) {
+      rend_ = 0;  // closed and flushing: drop what arrives
+      return;
+    }
+    rend_ += static_cast<size_t>(n);
+    if (parse()) read_payload();
+  }
+
+  /// Deliver every complete frame in the buffer. Returns true when it left
+  /// a frame whose payload is to be read straight into partial_.
+  bool parse() {
+    while (is_open() && rend_ - rbeg_ >= 8) {
+      const std::span<const u8> buf(rbuf_.data() + rbeg_, rend_ - rbeg_);
+      auto len = pdu::frame_length(buf);
+      if (!len) {
+        stop_reading(("bad frame: " + len.status().to_string()).c_str());
+        return false;
+      }
+      const u64 frame = len.value();
+      if (buf.size() >= frame) {
+        auto decoded = pdu::decode(buf.first(frame), opts_);
+        rbeg_ += frame;
+        if (!decoded) {
+          stop_reading(
+              ("decode failed: " + decoded.status().to_string()).c_str());
+          return false;
+        }
+        deliver(std::move(decoded).take());
+        continue;
+      }
+      auto head = pdu::decode_head(buf, frame, opts_);
+      if (!head) {
+        if (head.status().code() == StatusCode::kOutOfRange) {
+          break;  // the header itself is still arriving
+        }
+        stop_reading(("decode failed: " + head.status().to_string()).c_str());
+        return false;
+      }
+      partial_ = std::move(head).take();
+      const size_t header = frame - partial_.payload.size();
+      partial_got_ = buf.size() - header;
+      std::memcpy(partial_.payload.data(), buf.data() + header, partial_got_);
+      rbeg_ = rend_ = 0;
+      in_payload_ = true;
+      return true;
+    }
+    if (rbeg_ == rend_) rbeg_ = rend_ = 0;
+    return false;
+  }
+
+  void read_payload() {
+    std::vector<u8>& p = partial_.payload;
+    const size_t want = p.size() - partial_got_;
+    const ssize_t n = ::recv(fd_, p.data() + partial_got_, want, 0);
+    if (n <= 0) return recv_ended(n);
+    partial_got_ += static_cast<size_t>(n);
+    if (partial_got_ < p.size()) return;  // the rest is still in flight
+    in_payload_ = false;
+    deliver(std::move(partial_));
+  }
+
+  void deliver(pdu::Pdu pdu) {
+    if (!is_open() || !handler_) return;
+    // The handler may close the channel, replace the handler (posted, so
+    // after this call), or destroy the channel; it must not be destroyed
+    // while it runs.
+    MsgChannel::Handler h;
+    h.swap(handler_);
+    h(std::move(pdu));
+    if (!handler_ && is_open()) handler_.swap(h);
   }
 
   const int fd_;
-  Executor& exec_;
   const pdu::CodecOptions opts_;
-  std::thread reader_;
-  /// Serializes whole-PDU writes from the engine and keep-alive paths.
-  Mutex write_mu_;
-  std::shared_ptr<HandlerBox> box_;
   std::atomic<bool> open_{true};
   std::atomic<u64> bytes_sent_{0};
   std::atomic<u64> pdus_sent_{0};
+
+  Mutex mu_;
+  RealExecutor* reactor_ OAF_GUARDED_BY(mu_) = nullptr;
+  u32 polled_ OAF_GUARDED_BY(mu_) = 0;  ///< EPOLL* bits fd_ is polled for
+  bool reading_ OAF_GUARDED_BY(mu_) = false;  ///< handler set, no EOF yet
+  bool shut_ OAF_GUARDED_BY(mu_) = false;     ///< shutdown(2) done
+  bool detached_ OAF_GUARDED_BY(mu_) = false; ///< the channel is gone
+  bool released_ OAF_GUARDED_BY(mu_) = false; ///< handed back to the reactor
+  std::vector<u8> head_ OAF_GUARDED_BY(mu_);  ///< header encode scratch
+  std::deque<OutFrame> sendq_ OAF_GUARDED_BY(mu_);
+
+  // Reactor thread only.
+  MsgChannel::Handler handler_;
+  std::vector<u8> rbuf_ = std::vector<u8>(kRecvBytes);
+  size_t rbeg_ = 0;
+  size_t rend_ = 0;
+  pdu::Pdu partial_;  ///< frame whose payload is being read in place
+  size_t partial_got_ = 0;
+  bool in_payload_ = false;
+};
+
+class SocketEndpoint final : public MsgChannel {
+ public:
+  SocketEndpoint(int fd, Executor& exec, const pdu::CodecOptions& opts)
+      : exec_(exec), stream_(std::make_shared<Stream>(fd, opts)) {
+    // Never blocks: the reactor may be the calling thread (a reconnect
+    // dials from inside a task).
+    exec_.post([s = stream_] { s->attach(); });
+  }
+
+  ~SocketEndpoint() override { stream_->detach(); }
+
+  SocketEndpoint(const SocketEndpoint&) = delete;
+  SocketEndpoint& operator=(const SocketEndpoint&) = delete;
+
+  void send(pdu::Pdu pdu) override { stream_->send(std::move(pdu)); }
+
+  void set_handler(Handler handler) override {
+    exec_.post([s = stream_, h = std::move(handler)]() mutable {
+      s->install(std::move(h));
+    });
+  }
+
+  void close() override { stream_->close(); }
+
+  [[nodiscard]] bool is_open() const override { return stream_->is_open(); }
+  [[nodiscard]] Executor& executor() override { return exec_; }
+  [[nodiscard]] u64 bytes_sent() const override { return stream_->bytes_sent(); }
+  [[nodiscard]] u64 pdus_sent() const override { return stream_->pdus_sent(); }
+
+ private:
+  Executor& exec_;
+  const std::shared_ptr<Stream> stream_;
 };
 
 }  // namespace
@@ -187,22 +389,19 @@ class SocketEndpoint final : public MsgChannel {
 Result<ChannelPair> make_socket_channel_pair(Executor& a, Executor& b,
                                              const pdu::CodecOptions& opts) {
   int fds[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0,
+                   fds) != 0) {
     return make_error(StatusCode::kInternal,
                       std::string("socketpair: ") + std::strerror(errno));
   }
-  auto ea = std::make_unique<SocketEndpoint>(fds[0], a, opts);
-  auto eb = std::make_unique<SocketEndpoint>(fds[1], b, opts);
-  ea->start();
-  eb->start();
-  return ChannelPair{std::move(ea), std::move(eb)};
+  return ChannelPair{std::make_unique<SocketEndpoint>(fds[0], a, opts),
+                     std::make_unique<SocketEndpoint>(fds[1], b, opts)};
 }
 
 std::unique_ptr<MsgChannel> wrap_stream_fd(int fd, Executor& exec,
                                            const pdu::CodecOptions& opts) {
-  auto ch = std::make_unique<SocketEndpoint>(fd, exec, opts);
-  ch->start();
-  return ch;
+  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
+  return std::make_unique<SocketEndpoint>(fd, exec, opts);
 }
 
 }  // namespace oaf::net

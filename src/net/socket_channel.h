@@ -1,9 +1,16 @@
-// Functional-plane channel over a real AF_UNIX socketpair.
+// Functional-plane channel over a real stream socket (AF_UNIX socketpair or
+// TCP connection).
 //
-// This is the stand-in for the kernel TCP control path: PDUs are framed by
-// their length field, written with full-write semantics, and a per-endpoint
-// reader thread decodes frames and posts them to the endpoint's executor.
-// Used by integration tests and examples that want the OS in the loop.
+// PDUs are framed by their length field. The endpoint's executor must run
+// on a sim::RealExecutor (directly or through a decorator): the channel
+// registers its non-blocking fd with that reactor, which reads it on
+// readiness and calls the handler inline — no reader thread, no hop.
+// Reading starts when set_handler() runs, so a PDU that arrives earlier
+// waits in the kernel. send() writes header and payload with one gather
+// write from any thread; what the socket does not take is queued and
+// flushed when the fd turns writable, so a send never blocks. close()
+// stops delivery and shuts the socket down once the queue has flushed.
+// Used by integration tests, examples and the real tools.
 #pragma once
 
 #include "common/status.h"

@@ -1,7 +1,7 @@
 // Real TCP/IP channels (AF_INET), for running the target and client as
 // separate processes — the paper's actual deployment shape: control PDUs
 // over a TCP connection, payloads over a POSIX shm region both processes
-// map. Framing and reader-thread delivery are identical to SocketChannel.
+// map. Framing and reactor-polled delivery are identical to SocketChannel.
 #pragma once
 
 #include <string>

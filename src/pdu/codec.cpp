@@ -452,6 +452,14 @@ const char* to_string(AnaState s) {
 std::vector<u8> encode(const Pdu& pdu, const CodecOptions& opts) {
   std::vector<u8> out;
   out.reserve(kCommonHeaderBytes + 64 + pdu.payload.size());
+  encode_header(pdu, opts, out);
+  out.insert(out.end(), pdu.payload.begin(), pdu.payload.end());
+  return out;
+}
+
+void encode_header(const Pdu& pdu, const CodecOptions& opts,
+                   std::vector<u8>& out) {
+  out.clear();
   Writer w(out);
   w.u8_(static_cast<u8>(pdu.type()));
   w.u8_(opts.header_digest ? kFlagHeaderDigest : 0);
@@ -463,7 +471,7 @@ std::vector<u8> encode(const Pdu& pdu, const CodecOptions& opts) {
   if (hlen > UINT16_MAX) {
     // Typed headers are tiny; this would be a programming error.
     out.clear();
-    return out;
+    return;
   }
   out[2] = static_cast<u8>(hlen);
   out[3] = static_cast<u8>(hlen >> 8);
@@ -478,8 +486,6 @@ std::vector<u8> encode(const Pdu& pdu, const CodecOptions& opts) {
     const u32 digest = crc32c(std::span<const u8>(out.data(), out.size()));
     w.u32_(digest);
   }
-  out.insert(out.end(), pdu.payload.begin(), pdu.payload.end());
-  return out;
 }
 
 Result<u64> frame_length(std::span<const u8> prefix) {
@@ -494,7 +500,13 @@ Result<u64> frame_length(std::span<const u8> prefix) {
   return plen;
 }
 
-Result<Pdu> decode(std::span<const u8> bytes, const CodecOptions& opts) {
+namespace {
+
+/// Decodes everything but the payload of the frame starting at `bytes`,
+/// whose length field must equal `plen`. `bytes` may stop anywhere after
+/// the header digest. Sets `payload_start`.
+Result<Pdu> decode_prefix(std::span<const u8> bytes, u64 plen,
+                          const CodecOptions& opts, u64& payload_start) {
   if (bytes.size() < kCommonHeaderBytes) {
     return make_error(StatusCode::kProtocolError, "PDU shorter than header");
   }
@@ -503,8 +515,7 @@ Result<Pdu> decode(std::span<const u8> bytes, const CodecOptions& opts) {
   const u16 hlen = static_cast<u16>(bytes[2] | (bytes[3] << 8));
   auto plen_res = frame_length(bytes);
   if (!plen_res) return plen_res.status();
-  const u64 plen = plen_res.value();
-  if (plen != bytes.size()) {
+  if (plen_res.value() != plen) {
     return make_error(StatusCode::kProtocolError, "PDU length mismatch");
   }
   if (hlen < kCommonHeaderBytes || hlen > plen) {
@@ -515,11 +526,14 @@ Result<Pdu> decode(std::span<const u8> bytes, const CodecOptions& opts) {
   if (opts.header_digest != has_digest) {
     return make_error(StatusCode::kProtocolError, "digest flag mismatch");
   }
-  u64 payload_start = hlen;
+  payload_start = static_cast<u64>(hlen) + (has_digest ? 4 : 0);
+  if (payload_start > plen) {
+    return make_error(StatusCode::kProtocolError, "truncated digest");
+  }
+  if (payload_start > bytes.size()) {
+    return make_error(StatusCode::kOutOfRange, "PDU header not complete");
+  }
   if (has_digest) {
-    if (static_cast<u64>(hlen) + 4 > plen) {
-      return make_error(StatusCode::kProtocolError, "truncated digest");
-    }
     u32 stored = 0;
     for (int i = 0; i < 4; ++i) {
       stored |= static_cast<u32>(bytes[hlen + static_cast<u64>(i)]) << (8 * i);
@@ -528,7 +542,6 @@ Result<Pdu> decode(std::span<const u8> bytes, const CodecOptions& opts) {
     if (stored != computed) {
       return make_error(StatusCode::kDataLoss, "header digest mismatch");
     }
-    payload_start += 4;
   }
 
   Reader r(bytes.subspan(kCommonHeaderBytes, hlen - kCommonHeaderBytes));
@@ -540,8 +553,26 @@ Result<Pdu> decode(std::span<const u8> bytes, const CodecOptions& opts) {
 
   Pdu pdu;
   pdu.header = std::move(header).take();
-  pdu.payload.assign(bytes.begin() + static_cast<std::ptrdiff_t>(payload_start),
-                     bytes.end());
+  return pdu;
+}
+
+}  // namespace
+
+Result<Pdu> decode(std::span<const u8> bytes, const CodecOptions& opts) {
+  u64 payload_start = 0;
+  auto pdu = decode_prefix(bytes, bytes.size(), opts, payload_start);
+  if (!pdu) return pdu;
+  pdu.value().payload.assign(
+      bytes.begin() + static_cast<std::ptrdiff_t>(payload_start), bytes.end());
+  return pdu;
+}
+
+Result<Pdu> decode_head(std::span<const u8> head, u64 frame_len,
+                        const CodecOptions& opts) {
+  u64 payload_start = 0;
+  auto pdu = decode_prefix(head, frame_len, opts, payload_start);
+  if (!pdu) return pdu;
+  pdu.value().payload.resize(frame_len - payload_start);
   return pdu;
 }
 

@@ -26,9 +26,25 @@ struct CodecOptions {
 /// Encode `pdu` to a fresh byte vector.
 std::vector<u8> encode(const Pdu& pdu, const CodecOptions& opts = {});
 
+/// Encode everything before the payload (common header, typed fields,
+/// header digest) into `out`, replacing its contents. The length field
+/// counts `pdu.payload`, so `out` followed by the payload is exactly
+/// encode(pdu): a stream channel sends the two without joining them.
+void encode_header(const Pdu& pdu, const CodecOptions& opts,
+                   std::vector<u8>& out);
+
 /// Decode a single complete PDU from `bytes`. `bytes` must contain exactly
 /// one encoded PDU (framing is the channel's job).
 Result<Pdu> decode(std::span<const u8> bytes, const CodecOptions& opts = {});
+
+/// Decode a PDU whose payload has not been read yet. `head` starts at the
+/// frame; `frame_len` is its frame_length(). The payload comes back sized
+/// (zeroed) for the caller to read the rest of the frame into; bytes of
+/// `head` past the header are ignored. Validates exactly as decode() does,
+/// and fails with kOutOfRange while `head` does not yet hold the whole
+/// header (typed fields and digest).
+Result<Pdu> decode_head(std::span<const u8> head, u64 frame_len,
+                        const CodecOptions& opts = {});
 
 /// Number of bytes the full PDU occupies given at least the 8-byte common
 /// header; used by stream channels to frame. Returns error if the prefix is

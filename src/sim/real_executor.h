@@ -1,71 +1,76 @@
-// Real-time executor: a reactor thread driving the functional plane.
+// Real-time executor: an epoll reactor thread driving the functional plane.
 //
-// Each protocol endpoint (client, target) owns one RealExecutor in tests and
-// examples; channels hand messages across executors with post(), which is the
-// only cross-thread entry point (guarded by a mutex + condition variable).
-// Timers use the same steady clock that now() reports.
+// Each protocol endpoint (client, target) owns one RealExecutor. Its thread
+// runs posted tasks, fires timers, and polls the non-blocking sockets
+// registered with it (net's stream channels), calling their readiness
+// handlers inline: no other thread reads a socket, and a received PDU
+// reaches its engine without a thread hop. The reactor blocks in
+// epoll_pwait2 with a nanosecond timeout taken from the earliest timer, so
+// sub-millisecond timers fire unrounded. A post() from another thread wakes
+// it through an eventfd, and only when it is asleep; a post() from the
+// reactor thread itself is a vector push. Timers use the same steady clock
+// that now() reports.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/executor.h"
-#include "telemetry/prof/cost_center.h"
-#include "telemetry/prof/reactor_health.h"
-#include "telemetry/telemetry.h"
+
+struct epoll_event;
 
 namespace oaf::sim {
 
 class RealExecutor final : public Executor {
  public:
-  RealExecutor() : start_(std::chrono::steady_clock::now()) {
-    thread_ = std::thread([this] { loop(); });
-  }
+  /// A non-blocking fd the reactor polls, and what to run when it is ready.
+  class IoSource {
+   public:
+    virtual ~IoSource() = default;
+    /// Readiness `events` (EPOLL* bits) on the source's fd. Reactor thread.
+    virtual void on_ready(u32 events) = 0;
+    /// The reactor is going away (its thread has stopped): the source must
+    /// not call it again.
+    virtual void on_reactor_gone() = 0;
+  };
 
-  ~RealExecutor() override {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
+  RealExecutor();
+  ~RealExecutor() override;
 
   RealExecutor(const RealExecutor&) = delete;
   RealExecutor& operator=(const RealExecutor&) = delete;
 
-  void post(Fn fn) override {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      ready_.push_back(std::move(fn));
-    }
-    cv_.notify_all();
-  }
-
-  void schedule_after(DurNs delay, Fn fn) override {
-    if (delay < 0) delay = 0;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      timers_.emplace(clock_now() + delay, std::move(fn));
-    }
-    cv_.notify_all();
-  }
-
+  void post(Fn fn) override;
+  void schedule_after(DurNs delay, Fn fn) override;
   [[nodiscard]] TimeNs now() const override { return clock_now(); }
 
   /// Block the *calling* thread until the executor has no ready work and no
   /// due timers (used by tests to quiesce).
-  void drain() {
-    std::unique_lock<std::mutex> lk(mu_);
-    drained_cv_.wait(lk, [this] {
-      return ready_.empty() && !running_ &&
-             (timers_.empty() || timers_.begin()->first > clock_now());
-    });
-  }
+  void drain();
+
+  /// The reactor whose thread is calling, or nullptr. A task posted through
+  /// any Executor that decorates a RealExecutor finds its reactor here.
+  static RealExecutor* current();
+
+  /// Reactor thread: keep `src` alive and dispatch its readiness events
+  /// until release(src).
+  void adopt(std::shared_ptr<IoSource> src);
+
+  /// Any thread: poll `fd` for `events` (EPOLLIN/EPOLLOUT; 0 = not at all)
+  /// on behalf of `src`; `was` is what it was polled for until now. Callers
+  /// serialize their own calls per fd.
+  void poll(int fd, IoSource* src, u32 was, u32 events);
+
+  /// Any thread: drop adopt()'s reference once the current dispatch round
+  /// is over, so an event already returned for `src` still finds it alive.
+  /// Its fd must no longer be polled.
+  void release(IoSource* src);
 
  private:
   [[nodiscard]] TimeNs clock_now() const {
@@ -74,64 +79,32 @@ class RealExecutor final : public Executor {
         .count();
   }
 
-  void loop() {
-    std::unique_lock<std::mutex> lk(mu_);
-    while (!stop_) {
-      // Move due timers into the ready queue.
-      const TimeNs t = clock_now();
-      while (!timers_.empty() && timers_.begin()->first <= t) {
-        ready_.push_back(std::move(timers_.begin()->second));
-        timers_.erase(timers_.begin());
-      }
-      if (!ready_.empty()) {
-#if OAF_TELEMETRY_COMPILED
-        const u64 runq = ready_.size();
-#endif
-        Fn fn = std::move(ready_.front());
-        ready_.erase(ready_.begin());
-        running_ = true;
-        lk.unlock();
-#if OAF_TELEMETRY_COMPILED
-        const TimeNs t0 = clock_now();
-#endif
-        fn();
-#if OAF_TELEMETRY_COMPILED
-        // The task may have left a per-I/O cost center stamped; CPU burned
-        // between tasks belongs to the reactor itself.
-        telemetry::prof::set_cost_center(
-            telemetry::prof::CostCenter::kReactor);
-        telemetry::prof::reactor_health().on_task(clock_now() - t0, runq);
-#endif
-        lk.lock();
-        running_ = false;
-        drained_cv_.notify_all();
-        continue;
-      }
-      drained_cv_.notify_all();
-#if OAF_TELEMETRY_COMPILED
-      const TimeNs idle0 = clock_now();
-#endif
-      if (timers_.empty()) {
-        cv_.wait(lk);
-      } else {
-        const auto wake = start_ + std::chrono::nanoseconds(timers_.begin()->first);
-        cv_.wait_until(lk, wake);
-      }
-#if OAF_TELEMETRY_COMPILED
-      telemetry::prof::reactor_health().on_idle(clock_now() - idle0);
-#endif
-    }
-  }
+  void loop();
+  /// Wait up to `wait_ns` (< 0: no limit) for readiness, then take in the
+  /// other threads' posts. Returns the ready events, or -1 once stopping.
+  int wait(epoll_event* events, int max_events, DurNs wait_ns);
+  /// Run the ready queue as swapped batches, a bounded number of rounds.
+  void run_ready();
+  void wake();
 
   const std::chrono::steady_clock::time_point start_;
+  const int epfd_;
+  const int wakefd_;
   std::thread thread_;
+
   std::mutex mu_;
-  std::condition_variable cv_;
   std::condition_variable drained_cv_;
+  std::vector<Fn> incoming_;  ///< posts from other threads (guarded by mu_)
+  bool asleep_ = false;       ///< reactor blocked in epoll (guarded by mu_)
+  TimeNs wake_at_ = 0;        ///< its earliest timer when it slept (mu_)
+  bool stop_ = false;         ///< (guarded by mu_)
+
+  // Reactor thread only.
   std::vector<Fn> ready_;
+  std::vector<Fn> batch_;
   std::multimap<TimeNs, Fn> timers_;
-  bool stop_ = false;
-  bool running_ = false;
+  std::unordered_map<IoSource*, std::shared_ptr<IoSource>> sources_;
+  std::vector<IoSource*> retired_;  ///< released; erased after dispatch
 };
 
 }  // namespace oaf::sim

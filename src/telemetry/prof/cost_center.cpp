@@ -5,8 +5,8 @@ namespace oaf::telemetry::prof {
 namespace internal {
 // Static (non-dynamic) initializer: valid before any constructor runs, so
 // the allocation interposer may read it during static initialization.
-thread_local u32 g_cost_center = static_cast<u32>(CostCenter::kOther);
-thread_local CostScope* g_scope_top = nullptr;
+constinit thread_local u32 g_cost_center = static_cast<u32>(CostCenter::kOther);
+constinit thread_local CostScope* g_scope_top = nullptr;
 }  // namespace internal
 
 const char* to_string(CostCenter c) {

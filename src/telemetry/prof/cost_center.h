@@ -46,7 +46,10 @@ const char* to_string(CostCenter c);
 namespace internal {
 // Not an atomic on purpose: stores happen on the owning thread and the only
 // concurrent reader (the SIGPROF handler) runs on that same thread.
-extern thread_local u32 g_cost_center;
+// constinit: the compiler then knows the word needs no dynamic
+// initialization and addresses it directly, instead of through a TLS-init
+// wrapper call (which UBSan flags as a store to a null pointer).
+extern constinit thread_local u32 g_cost_center;
 }  // namespace internal
 
 inline void set_cost_center(CostCenter c) {
@@ -140,7 +143,7 @@ CycleLedger& cycle_ledger();
 class CostScope;
 namespace internal {
 // Innermost armed CostScope on this thread (exclusive-time bookkeeping).
-extern thread_local CostScope* g_scope_top;
+extern constinit thread_local CostScope* g_scope_top;
 }  // namespace internal
 
 /// RAII scope: stamps the thread's cost-center token (restoring the previous

@@ -29,7 +29,9 @@ struct RunResult {
 };
 
 RunResult run_oaflint(const std::string& args) {
-  const fs::path out = fs::temp_directory_path() / "oaflint_test_out.txt";
+  // Per process: ctest -j runs these tests concurrently.
+  const fs::path out = fs::temp_directory_path() /
+                       ("oaflint_test_out_" + std::to_string(::getpid()) + ".txt");
   const std::string cmd = std::string(OAFLINT_BIN) + " " + args + " > " +
                           out.string() + " 2> /dev/null";
   const int rc = std::system(cmd.c_str());

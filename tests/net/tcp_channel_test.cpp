@@ -113,7 +113,7 @@ TEST(TcpChannelTest, PeerCloseDetected) {
   server_ch->set_handler([](pdu::Pdu) {});
 
   client_ch->close();
-  // The server's reader thread notices the FIN and flips is_open.
+  // The server's reactor reads the FIN and flips is_open.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (server_ch->is_open() && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -194,7 +194,8 @@ TEST(CodecTest, ResilienceFieldsRoundtrip) {
   h2c.cid = 5;
   h2c.gen = 7;
   h2c.data_digest = 0xDEADBEEF;
-  const auto* h = roundtrip(h2c).as<H2CData>();
+  const Pdu h_pdu = roundtrip(h2c);
+  const auto* h = h_pdu.as<H2CData>();
   EXPECT_EQ(h->gen, 7);
   EXPECT_EQ(h->data_digest, 0xDEADBEEFu);
 
@@ -202,7 +203,8 @@ TEST(CodecTest, ResilienceFieldsRoundtrip) {
   c2h.cid = 5;
   c2h.gen = 9;
   c2h.data_digest = 0x12345678;
-  const auto* ch = roundtrip(c2h).as<C2HData>();
+  const Pdu ch_pdu = roundtrip(c2h);
+  const auto* ch = ch_pdu.as<C2HData>();
   EXPECT_EQ(ch->gen, 9);
   EXPECT_EQ(ch->data_digest, 0x12345678u);
 }
@@ -230,7 +232,8 @@ TEST(CodecTest, ICReqKatoAndDigestRoundtrip) {
   req.pfv = 1;
   req.data_digest = true;
   req.kato_ns = 15'000'000'000ull;
-  const auto* h = roundtrip(req).as<ICReq>();
+  const Pdu h_pdu = roundtrip(req);
+  const auto* h = h_pdu.as<ICReq>();
   ASSERT_NE(h, nullptr);
   EXPECT_TRUE(h->data_digest);
   EXPECT_EQ(h->kato_ns, 15'000'000'000ull);
@@ -404,7 +407,8 @@ TEST(CodecTest, TraceContextFieldsRoundtrip) {
   ICReq req;
   req.trace_ctx = true;
   req.t_sent_ns = 111'222'333;
-  const auto* rq = roundtrip(req).as<ICReq>();
+  const Pdu rq_pdu = roundtrip(req);
+  const auto* rq = rq_pdu.as<ICReq>();
   ASSERT_NE(rq, nullptr);
   EXPECT_TRUE(rq->trace_ctx);
   EXPECT_EQ(rq->t_sent_ns, 111'222'333u);
@@ -413,7 +417,8 @@ TEST(CodecTest, TraceContextFieldsRoundtrip) {
   resp.trace_ctx = true;
   resp.echo_t_ns = 111'222'333;
   resp.t_now_ns = 999'888'777;
-  const auto* rp = roundtrip(resp).as<ICResp>();
+  const Pdu rp_pdu = roundtrip(resp);
+  const auto* rp = rp_pdu.as<ICResp>();
   ASSERT_NE(rp, nullptr);
   EXPECT_TRUE(rp->trace_ctx);
   EXPECT_EQ(rp->echo_t_ns, 111'222'333u);
@@ -423,7 +428,8 @@ TEST(CodecTest, TraceContextFieldsRoundtrip) {
   c.cmd.cid = 7;
   c.trace_id = 0xA1B2C3D4E5F60718ULL;
   c.parent_span = 0x1122334455667788ULL;
-  const auto* ch = roundtrip(c).as<CapsuleCmd>();
+  const Pdu ch_pdu = roundtrip(c);
+  const auto* ch = ch_pdu.as<CapsuleCmd>();
   ASSERT_NE(ch, nullptr);
   EXPECT_EQ(ch->trace_id, 0xA1B2C3D4E5F60718ULL);
   EXPECT_EQ(ch->parent_span, 0x1122334455667788ULL);
@@ -432,7 +438,8 @@ TEST(CodecTest, TraceContextFieldsRoundtrip) {
   ka.seq = 4;
   ka.t_sent_ns = 1'000;
   ka.echo_t_ns = 2'000;
-  const auto* kh = roundtrip(ka).as<KeepAlive>();
+  const Pdu kh_pdu = roundtrip(ka);
+  const auto* kh = kh_pdu.as<KeepAlive>();
   ASSERT_NE(kh, nullptr);
   EXPECT_EQ(kh->t_sent_ns, 1'000u);
   EXPECT_EQ(kh->echo_t_ns, 2'000u);
@@ -624,6 +631,50 @@ TEST(CodecTest, ShmReferencePduIsSmall) {
   c.shm_slot = 5;
   in.header = c;
   EXPECT_LT(wire_size(in), 100u);
+}
+
+TEST(CodecTest, HeaderThenPayloadIsTheWholeEncoding) {
+  Pdu in;
+  H2CData h;
+  h.cid = 11;
+  h.length = 300;
+  in.header = h;
+  in.payload.assign(300, 0xab);
+  for (const bool digest : {false, true}) {
+    const CodecOptions opts{digest};
+    std::vector<u8> head = {1, 2, 3};  // stale contents are replaced
+    encode_header(in, opts, head);
+    head.insert(head.end(), in.payload.begin(), in.payload.end());
+    EXPECT_EQ(head, encode(in, opts)) << "digest=" << digest;
+  }
+}
+
+TEST(CodecTest, DecodeHeadReadsTheHeaderAndSizesThePayload) {
+  Pdu in;
+  CapsuleCmd c;
+  c.cmd.cid = 77;
+  c.data_len = 5000;
+  in.header = c;
+  in.payload.assign(5000, 0x5a);
+  for (const bool digest : {false, true}) {
+    const CodecOptions opts{digest};
+    const std::vector<u8> wire = encode(in, opts);
+    const std::span<const u8> all(wire);
+    const u64 head_len = wire.size() - in.payload.size();
+    // A header still arriving is "not yet", not malformed.
+    auto early = decode_head(all.first(head_len - 1), wire.size(), opts);
+    ASSERT_FALSE(early.is_ok());
+    EXPECT_EQ(early.status().code(), StatusCode::kOutOfRange);
+    // Header plus part of the payload: the header decodes, the payload comes
+    // back sized for the rest of the frame.
+    auto head = decode_head(all.first(head_len + 10), wire.size(), opts);
+    ASSERT_TRUE(head.is_ok()) << head.status().to_string();
+    EXPECT_EQ(head.value().as<CapsuleCmd>()->cmd.cid, 77);
+    EXPECT_EQ(head.value().payload.size(), 5000u);
+    // It validates as decode() does.
+    EXPECT_FALSE(decode_head(all, wire.size() + 1, opts).is_ok());
+    EXPECT_FALSE(decode_head(all, wire.size(), CodecOptions{!digest}).is_ok());
+  }
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <thread>
+#include <vector>
 
 namespace oaf::sim {
 namespace {
@@ -69,6 +72,56 @@ TEST(RealExecutorTest, CrossThreadPostsSafe) {
   for (auto& t : threads) t.join();
   ex.drain();
   EXPECT_EQ(count.load(), 1000);
+}
+
+// The reactor sleeps with a nanosecond timeout taken from its earliest
+// timer: a 100 us timer on an idle reactor must not round up to the
+// millisecond granularity of epoll_wait.
+TEST(RealExecutorTest, ShortTimerFiresUnrounded) {
+  RealExecutor ex;
+  std::vector<DurNs> late;
+  for (int i = 0; i < 50; ++i) {
+    std::atomic<TimeNs> fired{0};
+    const TimeNs armed = ex.now();
+    ex.schedule_after(100'000, [&] { fired = ex.now(); });
+    while (fired.load() == 0) std::this_thread::yield();
+    late.push_back(fired.load() - armed);
+  }
+  std::sort(late.begin(), late.end());
+  EXPECT_GE(late.front(), 100'000);
+  EXPECT_LT(late[late.size() / 2], 900'000);
+}
+
+// A post() from another thread wakes a reactor blocked with nothing to do.
+TEST(RealExecutorTest, ForeignPostWakesIdleReactor) {
+  RealExecutor ex;
+  ex.drain();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // surely asleep
+  std::atomic<bool> ran{false};
+  const auto t0 = std::chrono::steady_clock::now();
+  ex.post([&] { ran = true; });
+  while (!ran.load()) {
+    ASSERT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+    std::this_thread::yield();
+  }
+}
+
+// Posts and timers from the reactor thread itself land in its own queues
+// and still run in order.
+TEST(RealExecutorTest, SelfPostsAndTimersFromReactorThread) {
+  RealExecutor ex;
+  std::vector<int> order;
+  std::atomic<bool> done{false};
+  ex.post([&] {
+    ex.schedule_after(1'000'000, [&] {
+      order.push_back(3);
+      done = true;
+    });
+    ex.post([&] { order.push_back(1); });
+    ex.post([&] { order.push_back(2); });
+  });
+  while (!done.load()) std::this_thread::yield();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 }  // namespace

@@ -79,7 +79,8 @@ struct Harness {
 class AnomalyE2ETest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "anomaly_e2e";
+    // Per process: ctest -j runs these tests concurrently.
+    dir_ = ::testing::TempDir() + "anomaly_e2e_" + std::to_string(::getpid());
     (void)std::system(("rm -rf " + dir_ + " && mkdir -p " + dir_).c_str());
     telemetry::attribution().reset_for_test();
     telemetry::anomaly().reset_for_test();
