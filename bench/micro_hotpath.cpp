@@ -94,13 +94,13 @@ int main(int argc, char** argv) {
     const u64 total_frees = allocs.total.frees;
     const u64 total_bytes = allocs.total.bytes;
     const auto cycles = prof::cycle_ledger().snapshot();
-    auto center_cycles = [&](prof::CostCenter c) {
+    auto center_cycles = [&](telemetry::Stage c) {
       return cycles.cycles[static_cast<u32>(c)];
     };
     u64 hot = 0;
-    for (u32 i = 0; i < prof::kCostCenterCount; ++i) {
-      if (i == static_cast<u32>(prof::CostCenter::kReactor) ||
-          i == static_cast<u32>(prof::CostCenter::kIdle)) {
+    for (u32 i = 0; i < telemetry::kCostCenterCount; ++i) {
+      if (i == static_cast<u32>(telemetry::Stage::kReactor) ||
+          i == static_cast<u32>(telemetry::Stage::kIdle)) {
         continue;
       }
       hot += cycles.cycles[i];
@@ -109,11 +109,11 @@ int main(int argc, char** argv) {
     alloc_t.row({row.name, per_io(total_allocs, ios), per_io(total_frees, ios),
                  per_io(total_bytes, ios, 1), std::to_string(ios)});
     cyc_t.row({row.name, cyc(hot, ios),
-               cyc(center_cycles(prof::CostCenter::kSubmit), ios),
-               cyc(center_cycles(prof::CostCenter::kEncode), ios),
-               cyc(center_cycles(prof::CostCenter::kXfer), ios),
-               cyc(center_cycles(prof::CostCenter::kTarget), ios),
-               cyc(center_cycles(prof::CostCenter::kComplete), ios)});
+               cyc(center_cycles(telemetry::Stage::kSubmit), ios),
+               cyc(center_cycles(telemetry::Stage::kEncode), ios),
+               cyc(center_cycles(telemetry::Stage::kXfer), ios),
+               cyc(center_cycles(telemetry::Stage::kTarget), ios),
+               cyc(center_cycles(telemetry::Stage::kComplete), ios)});
   }
 
   alloc_t.print();

@@ -66,16 +66,14 @@ class BusyPollGovernor {
       const u64 dm = misses - last_misses_;
       last_hits_ = hits;
       last_misses_ = misses;
-      OAF_TEL({
-        telemetry::bump(tel().hits, dh);
-        telemetry::bump(tel().misses, dm);
-        if (dh + dm > 0) {
-          // Budget utilization for the profiling plane (oaf_stat prof):
-          // the fraction of polls whose budget actually caught a message.
-          tel().hit_permille->set(
-              static_cast<i64>(dh * 1000 / (dh + dm)));
-        }
-      });
+      telemetry::bump(tel().hits, dh);
+      telemetry::bump(tel().misses, dm);
+      if (dh + dm > 0) {
+        // Budget utilization for the profiling plane (oaf_stat prof):
+        // the fraction of polls whose budget actually caught a message.
+        tel().hit_permille->set(
+            static_cast<i64>(dh * 1000 / (dh + dm)));
+      }
       if (dh + dm > 0 && escalation_ != kInterruptFallback) {
         const double miss_frac =
             static_cast<double>(dm) / static_cast<double>(dh + dm);
@@ -86,16 +84,14 @@ class BusyPollGovernor {
             // Arrivals are simply too sparse for polling to win on this
             // workload: degrade gracefully to interrupt mode.
             escalation_ = kInterruptFallback;
-            OAF_TEL(telemetry::bump(tel().fallbacks));
+            telemetry::bump(tel().fallbacks);
           }
         }
       }
     }
-    OAF_TEL({
-      telemetry::bump(tel().retunes);
-      tel().workload->set(workload_type_);
-      tel().escalation->set(escalation_);
-    });
+    telemetry::bump(tel().retunes);
+    tel().workload->set(workload_type_);
+    tel().escalation->set(escalation_);
     apply(escalation_ == kInterruptFallback ? 0 : base * escalation_);
   }
 
@@ -117,7 +113,7 @@ class BusyPollGovernor {
   void apply(DurNs budget) {
     current_ = budget;
     if (tunable_ != nullptr) tunable_->set_rx_poll_budget(budget);
-    OAF_TEL(tel().budget->set(budget));
+    tel().budget->set(budget);
   }
 
   /// Process-global handles, registered once (governors are per-connection;

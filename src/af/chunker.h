@@ -35,7 +35,7 @@ inline std::vector<Chunk> make_chunks(u64 total, u64 chunk_bytes) {
   std::vector<Chunk> out;
   if (total == 0) {
     out.push_back({0, 0, true});
-    OAF_TEL(telemetry::bump(detail::chunk_counter()));
+    telemetry::bump(detail::chunk_counter());
     return out;
   }
   if (chunk_bytes == 0) chunk_bytes = total;
@@ -44,7 +44,7 @@ inline std::vector<Chunk> make_chunks(u64 total, u64 chunk_bytes) {
     const u64 len = std::min(chunk_bytes, total - off);
     out.push_back({off, len, off + len == total});
   }
-  OAF_TEL(telemetry::bump(detail::chunk_counter(), out.size()));
+  telemetry::bump(detail::chunk_counter(), out.size());
   return out;
 }
 

@@ -5,7 +5,6 @@
 namespace oaf::af {
 
 void AfEndpoint::init_telemetry() {
-#if OAF_TELEMETRY_COMPILED
   const bool client = role_ == Role::kClient;
   auto& m = telemetry::metrics();
   tel_.track = telemetry::tracer().track(client ? "af:client" : "af:target");
@@ -48,7 +47,6 @@ void AfEndpoint::init_telemetry() {
       "oaf_shm_epoch_fence_rejects",
       "Ring operations rejected by the epoch fence (stale handle or slot)",
       [this]() -> i64 { return static_cast<i64>(ring_.fence_rejects()); });
-#endif
 }
 
 void AfEndpoint::enable_shm(RegionHandle handle, shm::DoubleBufferRing ring,
@@ -63,11 +61,9 @@ bool AfEndpoint::demote_shm() {
   if (!ring_.valid() || demoted_) return false;
   demoted_ = true;
   shm_demotions_++;
-  OAF_TEL({
-    telemetry::bump(tel_.demotions);
-    telemetry::tracer().instant(tel_.track, "resilience", "shm_demoted", 0,
-                                exec_.now());
-  });
+  telemetry::bump(tel_.demotions);
+  telemetry::tracer().instant(tel_.track, "resilience", "shm_demoted", 0,
+                              exec_.now());
   return true;
 }
 
@@ -115,12 +111,9 @@ Status AfEndpoint::stage_payload(u32 slot, std::span<const u8> data, Done done) 
   if (auto st = ring_.acquire(produce_dir(), slot); !st) return st;
   shm_payload_bytes_ += data.size();
   staged_copies_++;
-  TimeNs t0 = 0;
-  OAF_TEL({
-    telemetry::bump(tel_.staged_copies);
-    telemetry::bump(tel_.payload_bytes, data.size());
-    t0 = exec_.now();
-  });
+  telemetry::bump(tel_.staged_copies);
+  telemetry::bump(tel_.payload_bytes, data.size());
+  const TimeNs t0 = exec_.now();
   with_access([this, slot, data, t0,
                done = std::move(done)](Done unlock) mutable {
     auto dst = ring_.slot_data(produce_dir(), slot);
@@ -139,9 +132,11 @@ Status AfEndpoint::stage_payload(u32 slot, std::span<const u8> data, Done done) 
                              unlock = std::move(unlock)]() mutable {
           if (!*alive) return;
           (void)ring_.publish(produce_dir(), slot, len);
-          OAF_TEL(telemetry::tracer().complete(
-              tel_.track, "shm", "shm_stage", slot, t0, exec_.now() - t0,
-              "bytes", static_cast<i64>(len)));
+          if (telemetry::tracer().enabled()) {
+            telemetry::tracer().complete(
+                tel_.track, "shm", "shm_stage", slot, t0, exec_.now() - t0,
+                "bytes", static_cast<i64>(len));
+          }
           unlock();
           done();
         });
@@ -149,9 +144,11 @@ Status AfEndpoint::stage_payload(u32 slot, std::span<const u8> data, Done done) 
       }
       // publish cannot fail here: we hold the slot in kWriting.
       (void)ring_.publish(produce_dir(), slot, len);
-      OAF_TEL(telemetry::tracer().complete(tel_.track, "shm", "shm_stage",
-                                           slot, t0, exec_.now() - t0, "bytes",
-                                           static_cast<i64>(len)));
+      if (telemetry::tracer().enabled()) {
+        telemetry::tracer().complete(tel_.track, "shm", "shm_stage", slot, t0,
+                                     exec_.now() - t0, "bytes",
+                                     static_cast<i64>(len));
+      }
       unlock();
       done();
     });
@@ -173,7 +170,7 @@ void AfEndpoint::stage_payload_when_free(u32 slot, std::span<const u8> data,
   }
   // Slot still draining on the peer: poll, as the consumer-side CM does
   // for the locality flag. The granularity mirrors the notify pickup cost.
-  OAF_TEL(telemetry::bump(tel_.slot_wait_polls));
+  telemetry::bump(tel_.slot_wait_polls);
   exec_.schedule_after(
       1'000, [this, alive = alive_, slot, data, done = std::move(done),
               cancelled = std::move(cancelled)]() mutable {
@@ -198,12 +195,12 @@ Status AfEndpoint::publish_app_buffer(u32 slot, u64 len, Done done) {
   if (auto st = ring_.publish(produce_dir(), slot, len); !st) return st;
   shm_payload_bytes_ += len;
   zero_copy_publishes_++;
-  OAF_TEL({
-    telemetry::bump(tel_.zc_publishes);
-    telemetry::bump(tel_.payload_bytes, len);
+  telemetry::bump(tel_.zc_publishes);
+  telemetry::bump(tel_.payload_bytes, len);
+  if (telemetry::tracer().enabled()) {
     telemetry::tracer().instant(tel_.track, "shm", "zc_publish", slot,
                                 exec_.now(), "bytes", static_cast<i64>(len));
-  });
+  }
   // Zero-copy: no data movement to charge; completion is immediate on both
   // planes (the application already produced the bytes in place).
   exec_.post(std::move(done));
@@ -216,8 +213,7 @@ void AfEndpoint::consume_payload(u32 slot, std::span<u8> dst,
     done(make_error(StatusCode::kFailedPrecondition, "no shm channel"));
     return;
   }
-  TimeNs t0 = 0;
-  OAF_TEL(t0 = exec_.now());
+  const TimeNs t0 = exec_.now();
   with_access([this, slot, dst, t0,
                done = std::move(done)](Done unlock) mutable {
     auto view = ring_.consume(consume_dir(), slot);
@@ -248,17 +244,22 @@ void AfEndpoint::consume_payload(u32 slot, std::span<u8> dst,
                                           t0, len,
                                           done = std::move(done)]() mutable {
                        if (!*alive) return;
-                       OAF_TEL(telemetry::tracer().complete(
-                           tel_.track, "shm", "shm_consume", slot, t0,
-                           exec_.now() - t0, "bytes", static_cast<i64>(len)));
+                       if (telemetry::tracer().enabled()) {
+                         telemetry::tracer().complete(
+                             tel_.track, "shm", "shm_consume", slot, t0,
+                             exec_.now() - t0, "bytes",
+                             static_cast<i64>(len));
+                       }
                        done(Result<u64>(len));
                      });
                      return;
                    }
                    (void)ring_.release(consume_dir(), slot);
-                   OAF_TEL(telemetry::tracer().complete(
-                       tel_.track, "shm", "shm_consume", slot, t0,
-                       exec_.now() - t0, "bytes", static_cast<i64>(len)));
+                   if (telemetry::tracer().enabled()) {
+                     telemetry::tracer().complete(
+                         tel_.track, "shm", "shm_consume", slot, t0,
+                         exec_.now() - t0, "bytes", static_cast<i64>(len));
+                   }
                    unlock();
                    done(Result<u64>(len));
                  });
@@ -280,13 +281,13 @@ Result<std::span<const u8>> AfEndpoint::consume_view(u32 slot) {
     note_consume_error(view.status());
     return view;
   }
-  OAF_TEL({
-    telemetry::bump(tel_.zc_consumes);
-    telemetry::bump(tel_.payload_bytes, view.value().size());
+  telemetry::bump(tel_.zc_consumes);
+  telemetry::bump(tel_.payload_bytes, view.value().size());
+  if (telemetry::tracer().enabled()) {
     telemetry::tracer().instant(tel_.track, "shm", "zc_consume", slot,
                                 exec_.now(), "bytes",
                                 static_cast<i64>(view.value().size()));
-  });
+  }
   return view;
 }
 
@@ -334,12 +335,10 @@ u32 AfEndpoint::sweep_orphans(DurNs stuck_after) {
       if (ring_.force_release(dir, s)) {
         reclaimed++;
         orphan_reclaims_++;
-        OAF_TEL({
-          telemetry::bump(tel_.orphan_reclaims);
-          telemetry::tracer().instant(tel_.track, "resilience",
-                                      "orphan_reclaim", s, now, "slot",
-                                      static_cast<i64>(s));
-        });
+        telemetry::bump(tel_.orphan_reclaims);
+        telemetry::tracer().instant(tel_.track, "resilience",
+                                    "orphan_reclaim", s, now, "slot",
+                                    static_cast<i64>(s));
         age = SlotAge{};
       }
     }

@@ -174,7 +174,7 @@ class AfEndpoint {
   void note_consume_error(const Status& st) {
     if (st.code() == StatusCode::kPeerMisbehavior) {
       peer_misbehavior_++;
-      OAF_TEL(telemetry::bump(tel_.peer_misbehavior));
+      telemetry::bump(tel_.peer_misbehavior);
     }
   }
 

@@ -17,11 +17,8 @@ using pdu::NvmeOpcode;
 using pdu::Pdu;
 
 void NvmfInitiator::init_telemetry() {
-#if OAF_TELEMETRY_COMPILED
   auto& m = telemetry::metrics();
   tel_.track = telemetry::tracer().track("init:" + opts_.connection_name);
-  tel_.anomaly_track =
-      telemetry::anomaly().track("init:" + opts_.connection_name);
   tel_.ios = m.counter("oaf_initiator_ios_completed_total",
                        "I/Os completed by initiators in this process");
   tel_.latency = m.histogram("oaf_initiator_io_latency_ns",
@@ -57,17 +54,11 @@ void NvmfInitiator::init_telemetry() {
   tel_.admission_rejects =
       m.counter("oaf_initiator_admission_rejects_total",
                 "Handshakes the target answered with admitted=false");
-#endif
 }
 
 void NvmfInitiator::trace_end_span(const Pending& p) {
-  (void)p;
-  OAF_TEL(telemetry::tracer().end(tel_.track, "init_io",
-                                  op_span_name(p.cmd.opcode), p.generation,
-                                  exec_.now()));
-  OAF_TEL(telemetry::anomaly().ring().end(tel_.anomaly_track, "init_io",
-                                          op_span_name(p.cmd.opcode),
-                                          p.generation, exec_.now()));
+  telemetry::tracer().end(tel_.track, "init_io", op_span_name(p.cmd.opcode),
+                          p.generation, exec_.now());
 }
 
 NvmfInitiator::NvmfInitiator(Executor& exec, net::MsgChannel& control,
@@ -196,8 +187,8 @@ void NvmfInitiator::on_pdu(Pdu pdu) {
     case pdu::PduType::kC2HTermReq:
       OAF_WARN("initiator received TermReq: %s",
                pdu.as<pdu::TermReq>()->reason.c_str());
-      telemetry::flight().note("resilience", "termreq_received", 0,
-                               exec_.now());
+      telemetry::tracer().instant(tel_.track, "resilience",
+                                  "termreq_received", 0, exec_.now());
       telemetry::flight().dump_now("received TermReq from target");
       control_->close();
       recover("target terminated association");
@@ -207,8 +198,8 @@ void NvmfInitiator::on_pdu(Pdu pdu) {
       // stop producing into the ring; parked transfers drain as usual.
       if (ep_.demote_shm()) {
         counters_.shm_demotions++;
-        OAF_TEL(telemetry::tracer().instant(tel_.track, "resilience",
-                                            "shm_demote", 0, exec_.now()));
+        telemetry::tracer().instant(tel_.track, "resilience",
+                                    "shm_demote", 0, exec_.now());
         OAF_WARN("initiator: target demoted shm (%s)",
                  pdu.as<pdu::ShmDemote>()->reason.c_str());
         fire_event(PathEvent::kShmDemoted);
@@ -227,12 +218,9 @@ void NvmfInitiator::on_pdu(Pdu pdu) {
       if (log.state == ana_state_) break;
       ana_state_ = log.state;
       counters_.ana_changes++;
-      OAF_TEL(telemetry::bump(tel_.ana_changes));
-      OAF_TEL(telemetry::tracer().instant(tel_.track, "multipath",
-                                          "ana_change", log.change_seq,
-                                          exec_.now()));
-      telemetry::flight().note("multipath", "ana_change", log.change_seq,
-                               exec_.now());
+      telemetry::bump(tel_.ana_changes);
+      telemetry::tracer().instant(tel_.track, "multipath", "ana_change",
+                                  log.change_seq, exec_.now());
       OAF_WARN("initiator %s: ana -> %s (%s)", opts_.connection_name.c_str(),
                pdu::to_string(log.state), log.reason.c_str());
       fire_event(PathEvent::kAnaChanged);
@@ -251,14 +239,15 @@ void NvmfInitiator::on_icresp(const pdu::ICResp& resp) {
     // its connection cap. This is retryable overload, not a fault — back
     // off at least as long as the target's retry-after hint and re-dial.
     counters_.admission_rejects++;
-    OAF_TEL(telemetry::bump(tel_.admission_rejects));
-    telemetry::flight().note("overload", "admission_rejected", 0, exec_.now());
+    telemetry::bump(tel_.admission_rejects);
+    telemetry::tracer().instant(tel_.track, "overload", "admission_rejected",
+                                0, exec_.now());
     OAF_WARN("initiator: connect rejected by target (%s), retry-after %u ms",
              resp.reject_reason.c_str(), resp.retry_after_ms);
     control_->close();
     if (reconnecting_) {
       counters_.reconnect_failures++;
-      OAF_TEL(telemetry::bump(tel_.reconnect_failures));
+      telemetry::bump(tel_.reconnect_failures);
       const u32 next = reconnect_attempt_ + 1;
       if (next > opts_.reconnect.max_attempts) {
         abort_connection("connect admission rejected");
@@ -316,9 +305,9 @@ void NvmfInitiator::on_icresp(const pdu::ICResp& resp) {
   reconnecting_ = false;
   if (was_reconnect) {
     counters_.reconnects++;
-    OAF_TEL(telemetry::bump(tel_.reconnects));
-    OAF_TEL(telemetry::tracer().instant(tel_.track, "resilience",
-                                        "reconnected", 0, exec_.now()));
+    telemetry::bump(tel_.reconnects);
+    telemetry::tracer().instant(tel_.track, "resilience",
+                                "reconnected", 0, exec_.now());
     // Replay harvested in-flight commands first so they re-enter the queue
     // ahead of commands that were still waiting — the original submission
     // order is preserved.
@@ -326,7 +315,7 @@ void NvmfInitiator::on_icresp(const pdu::ICResp& resp) {
     replay.swap(replay_);
     for (auto& p : replay) {
       counters_.commands_retried++;
-      OAF_TEL(telemetry::bump(tel_.retried));
+      telemetry::bump(tel_.retried);
       submit_or_queue(std::move(p));
     }
     drain_queue();
@@ -375,9 +364,8 @@ void NvmfInitiator::recover(const char* reason) {
     return;
   }
   OAF_WARN("initiator: recovering connection (%s)", reason);
-  OAF_TEL(telemetry::tracer().instant(tel_.track, "resilience", "recover", 0,
-                                      exec_.now()));
-  telemetry::flight().note("resilience", "recover", 0, exec_.now());
+  telemetry::tracer().instant(tel_.track, "resilience", "recover", 0,
+                              exec_.now());
   reconnecting_ = true;
   connected_ = false;
   // Announce before harvesting: a PathGroup must mark this path ineligible
@@ -456,7 +444,7 @@ void NvmfInitiator::do_reconnect(u32 attempt) {
     // back off again. The previous channel stays in place so control_
     // remains valid.
     counters_.reconnect_failures++;
-    OAF_TEL(telemetry::bump(tel_.reconnect_failures));
+    telemetry::bump(tel_.reconnect_failures);
     schedule_reconnect(attempt + 1);
     return;
   }
@@ -477,7 +465,7 @@ void NvmfInitiator::do_reconnect(u32 attempt) {
         if (!*alive || dead_ || !reconnecting_) return;
         if (epoch != handshake_epoch_) return;  // ICResp arrived in time
         counters_.reconnect_failures++;
-        OAF_TEL(telemetry::bump(tel_.reconnect_failures));
+        telemetry::bump(tel_.reconnect_failures);
         control_->close();
         schedule_reconnect(attempt + 1);
       });
@@ -486,9 +474,8 @@ void NvmfInitiator::do_reconnect(u32 attempt) {
 void NvmfInitiator::demote_shm(const std::string& reason) {
   if (!ep_.demote_shm()) return;
   counters_.shm_demotions++;
-  OAF_TEL(telemetry::tracer().instant(tel_.track, "resilience", "shm_demote",
-                                      0, exec_.now()));
-  telemetry::flight().note("resilience", "shm_demote", 0, exec_.now());
+  telemetry::tracer().instant(tel_.track, "resilience", "shm_demote", 0,
+                              exec_.now());
   OAF_WARN("initiator: demoting shm data path (%s)", reason.c_str());
   pdu::ShmDemote demote;
   demote.reason = reason;
@@ -522,7 +509,7 @@ void NvmfInitiator::keepalive_tick() {
   if (connected_ && !reconnecting_) {
     if (ka_outstanding_) {
       counters_.keepalive_misses++;
-      OAF_TEL(telemetry::bump(tel_.ka_misses));
+      telemetry::bump(tel_.ka_misses);
       ka_misses_++;
       if (ka_misses_ >= opts_.reconnect.keepalive_miss_limit) {
         ka_misses_ = 0;
@@ -542,7 +529,7 @@ void NvmfInitiator::keepalive_tick() {
     pdu.header = ka;
     control_->send(std::move(pdu));
     counters_.keepalive_sent++;
-    OAF_TEL(telemetry::bump(tel_.ka_sent));
+    telemetry::bump(tel_.ka_sent);
     ka_outstanding_ = true;
   }
   schedule_keepalive();
@@ -571,12 +558,9 @@ void NvmfInitiator::on_deadline(u16 cid, u64 generation) {
   if (cid >= inflight_.size() || !slot_busy_[cid]) return;
   if (inflight_[cid].generation != generation) return;
   counters_.deadlines_expired++;
-  OAF_TEL(telemetry::bump(tel_.deadlines));
-  OAF_TEL(telemetry::tracer().instant(tel_.track, "resilience",
-                                      "deadline_expired", generation,
-                                      exec_.now()));
-  telemetry::flight().note("resilience", "deadline_expired", generation,
-                           exec_.now());
+  telemetry::bump(tel_.deadlines);
+  telemetry::tracer().instant(tel_.track, "resilience", "deadline_expired",
+                              generation, exec_.now());
   timeouts_++;
   if (!opts_.escalation.enabled() || reconnecting_) {
     // Legacy semantics: a deadline expiry is a transport fault.
@@ -600,11 +584,9 @@ void NvmfInitiator::send_abort(u16 victim_cid) {
   const u16 acid = alloc_abort_cid();
   aborts_[acid] = AbortCtx{victim_cid, p.generation, p.gen};
   counters_.aborts_sent++;
-  OAF_TEL(telemetry::bump(tel_.aborts_sent));
-  OAF_TEL(telemetry::tracer().instant(tel_.track, "resilience", "abort_sent",
-                                      p.generation, exec_.now()));
-  telemetry::flight().note("resilience", "abort_sent", p.generation,
-                           exec_.now());
+  telemetry::bump(tel_.aborts_sent);
+  telemetry::tracer().instant(tel_.track, "resilience", "abort_sent",
+                              p.generation, exec_.now());
   OAF_WARN_RL("initiator: aborting stuck cid %u (attempt %u/%u, abort cid %u)",
            victim_cid, p.abort_attempts, opts_.escalation.abort_budget, acid);
   pdu::CapsuleCmd capsule;
@@ -624,7 +606,7 @@ void NvmfInitiator::on_abort_timeout(u16 abort_cid) {
   const AbortCtx a = it->second;
   aborts_.erase(it);
   counters_.aborts_failed++;
-  OAF_TEL(telemetry::bump(tel_.aborts_failed));
+  telemetry::bump(tel_.aborts_failed);
   consecutive_abort_failures_++;
   // Aborts ride the control channel. If they keep dying while shm is up,
   // suspect the fast path first and demote before burning the connection.
@@ -651,7 +633,7 @@ void NvmfInitiator::on_abort_resp(u16 abort_cid, const pdu::CapsuleResp& resp) {
   wheel_.cancel(abort_cid);
   consecutive_abort_failures_ = 0;
   counters_.aborts_succeeded++;
-  OAF_TEL(telemetry::bump(tel_.aborts_ok));
+  telemetry::bump(tel_.aborts_ok);
   const bool victim_live = a.victim_cid < inflight_.size() &&
                            slot_busy_[a.victim_cid] &&
                            inflight_[a.victim_cid].generation ==
@@ -694,7 +676,8 @@ void NvmfInitiator::abort_connection(const char* reason) {
   // Escalation-ladder exhaustion / fatal teardown: capture the black box
   // before in-flight state is failed out (no-op unless flight().install()
   // armed dumping).
-  telemetry::flight().note("resilience", "abort_connection", 0, exec_.now());
+  telemetry::tracer().instant(tel_.track, "resilience", "abort_connection",
+                              0, exec_.now());
   telemetry::flight().dump_now(reason);
   // NVMe-oF error recovery past the reconnect budget is controller-scoped:
   // terminate the association and fail everything in flight. A late
@@ -734,7 +717,7 @@ void NvmfInitiator::abort_connection(const char* reason) {
 }
 
 void NvmfInitiator::submit_or_queue(Pending pending) {
-  const telemetry::prof::CostScope cost(telemetry::prof::CostCenter::kSubmit);
+  const telemetry::prof::CostScope cost(telemetry::Stage::kSubmit);
   // First submission opens the ledger's kQueue phase; a replay keeps its
   // ledger (currently accruing kDetour) so detour time stays attributed.
   if (pending.first_submit < 0) pending.ledger.reset(exec_.now());
@@ -797,13 +780,9 @@ void NvmfInitiator::start_command(u16 cid) {
   p.ledger.enter(telemetry::Stage::kEncode, p.submit_time);
   // One async span per submission attempt (a retry begins a fresh span with
   // its new generation, so detours stay visible on the timeline).
-  OAF_TEL(telemetry::tracer().begin(tel_.track, "init_io",
-                                    op_span_name(p.cmd.opcode), p.generation,
-                                    p.submit_time, "bytes",
-                                    static_cast<i64>(p.data_len)));
-  OAF_TEL(telemetry::anomaly().ring().begin(
-      tel_.anomaly_track, "init_io", op_span_name(p.cmd.opcode), p.generation,
-      p.submit_time, "bytes", static_cast<i64>(p.data_len)));
+  telemetry::tracer().begin(tel_.track, "init_io", op_span_name(p.cmd.opcode),
+                            p.generation, p.submit_time, "bytes",
+                            static_cast<i64>(p.data_len));
   governor_.record_op(p.cmd.is_write());
   arm_timeout(cid);
   switch (p.cmd.opcode) {
@@ -822,7 +801,7 @@ void NvmfInitiator::start_command(u16 cid) {
 void NvmfInitiator::send_capsule(u16 cid, bool in_capsule,
                                  DataPlacement placement,
                                  std::vector<u8> inline_payload) {
-  const telemetry::prof::CostScope cost(telemetry::prof::CostCenter::kEncode);
+  const telemetry::prof::CostScope cost(telemetry::Stage::kEncode);
   Pending& p = inflight_[cid];
   pdu::CapsuleCmd capsule;
   capsule.cmd = p.cmd;
@@ -844,13 +823,9 @@ void NvmfInitiator::send_capsule(u16 cid, bool in_capsule,
   // Capsule on the wire: encode/staging is done, the grant/response wait
   // begins (an R2T or first data moves the cursor to kXfer).
   p.ledger.enter(telemetry::Stage::kGrant, exec_.now());
-  OAF_TEL(telemetry::tracer().instant(
+  telemetry::tracer().instant(
       tel_.track, "init_io", in_capsule ? "capsule_sent" : "capsule_sent_r2t",
-      p.generation, exec_.now(), "bytes", static_cast<i64>(p.data_len)));
-  OAF_TEL(telemetry::anomaly().ring().instant(
-      tel_.anomaly_track, "init_io",
-      in_capsule ? "capsule_sent" : "capsule_sent_r2t", p.generation,
-      exec_.now(), "bytes", static_cast<i64>(p.data_len)));
+      p.generation, exec_.now(), "bytes", static_cast<i64>(p.data_len));
   control_->send(std::move(pdu));
 }
 
@@ -912,13 +887,9 @@ void NvmfInitiator::on_r2t(const pdu::R2T& r2t) {
   }
   // Grant arrived; the data-transfer phase starts.
   p.ledger.enter(telemetry::Stage::kXfer, exec_.now());
-  OAF_TEL(telemetry::tracer().instant(tel_.track, "init_io", "r2t",
-                                      p.generation, exec_.now(), "bytes",
-                                      static_cast<i64>(r2t.length)));
-  OAF_TEL(telemetry::anomaly().ring().instant(tel_.anomaly_track, "init_io",
-                                              "r2t", p.generation, exec_.now(),
-                                              "bytes",
-                                              static_cast<i64>(r2t.length)));
+  telemetry::tracer().instant(tel_.track, "init_io", "r2t", p.generation,
+                              exec_.now(), "bytes",
+                              static_cast<i64>(r2t.length));
   if (ep_.shm_ready()) {
     // Conservative flow on shm (pre-optimization design): the granted
     // window moves through the slot one maxh2cdata chunk at a time, each
@@ -990,7 +961,7 @@ void NvmfInitiator::shm_write_chunk(u16 cid, u16 ttag, u64 offset, u64 end) {
 // --------------------------------------------------------------------------
 
 void NvmfInitiator::on_c2h(Pdu pdu) {
-  const telemetry::prof::CostScope cost(telemetry::prof::CostCenter::kXfer);
+  const telemetry::prof::CostScope cost(telemetry::Stage::kXfer);
   const auto& c2h = *pdu.as<pdu::C2HData>();
   const u16 cid = c2h.cid;
   if (cid >= inflight_.size() || !slot_busy_[cid]) {
@@ -1030,8 +1001,8 @@ void NvmfInitiator::on_c2h(Pdu pdu) {
         release_cid(cid);
       };
       ios_completed_++;
-      OAF_TEL(telemetry::bump(tel_.ios));
-      OAF_TEL(tel_.latency->record(res.total_ns));
+      telemetry::bump(tel_.ios);
+      tel_.latency->record(res.total_ns);
       // Zero-copy reads complete here, not via complete(): attribute now.
       p.ledger.finalize(exec_.now(), static_cast<DurNs>(res.io_time_ns),
                         static_cast<DurNs>(res.target_time_ns));
@@ -1081,7 +1052,7 @@ void NvmfInitiator::on_c2h(Pdu pdu) {
         std::span<const u8>(pdu.payload.data(), pdu.payload.size()));
     if (computed != c2h.data_digest) {
       counters_.digest_errors++;
-      OAF_TEL(telemetry::bump(tel_.digest_errors));
+      telemetry::bump(tel_.digest_errors);
       OAF_WARN_RL("C2HData digest mismatch for cid %u", cid);
       complete(cid, {cid, pdu::NvmeStatus::kTransientTransportError, 0}, 0, 0);
       return;
@@ -1124,8 +1095,7 @@ void NvmfInitiator::release_cid(u16 cid) {
 
 void NvmfInitiator::complete(u16 cid, const pdu::NvmeCpl& cpl, u64 io_ns,
                              u64 target_ns) {
-  const telemetry::prof::CostScope cost(
-      telemetry::prof::CostCenter::kComplete);
+  const telemetry::prof::CostScope cost(telemetry::Stage::kComplete);
   Pending& p = inflight_[cid];
   if (cpl.status == pdu::NvmeStatus::kTransientTransportError && !dead_ &&
       retryable(p) && p.attempts < opts_.reconnect.max_command_retries) {
@@ -1133,25 +1103,22 @@ void NvmfInitiator::complete(u16 cid, const pdu::NvmeCpl& cpl, u64 io_ns,
     // data-digest mismatch): replay in place on the same cid. A fresh gen
     // tag fences any PDU still in flight from the failed attempt.
     trace_end_span(p);
-    OAF_TEL(telemetry::tracer().instant(tel_.track, "resilience", "retry",
-                                        p.generation, exec_.now()));
-    OAF_TEL(telemetry::anomaly().ring().instant(tel_.anomaly_track,
-                                                "resilience", "retry",
-                                                p.generation, exec_.now()));
+    telemetry::tracer().instant(tel_.track, "resilience", "retry",
+                                p.generation, exec_.now());
     // Close the failed attempt's wire phase; start_command reopens kEncode.
     p.ledger.enter(telemetry::Stage::kDetour, exec_.now());
     p.attempts++;
     p.bytes_received = 0;
     counters_.commands_retried++;
-    OAF_TEL(telemetry::bump(tel_.retried));
+    telemetry::bump(tel_.retried);
     start_command(cid);
     return;
   }
   if (cpl.status == pdu::NvmeStatus::kQueueFull) {
     counters_.queue_full_received++;
-    OAF_TEL(telemetry::bump(tel_.queue_full));
-    telemetry::flight().note("overload", "queue_full_received", cid,
-                             exec_.now());
+    telemetry::bump(tel_.queue_full);
+    telemetry::tracer().instant(tel_.track, "overload", "queue_full_received",
+                                cid, exec_.now());
     // Raise the congestion window on every reject — including those that
     // surface to the caller (zero-copy commands are not replayed in place):
     // congested() is how producers that manage their own buffers learn to
@@ -1168,12 +1135,9 @@ void NvmfInitiator::complete(u16 cid, const pdu::NvmeCpl& cpl, u64 io_ns,
       // as reconnects) and resubmit in place; meanwhile congested() tells
       // drivers to stop offering new work.
       trace_end_span(p);
-      OAF_TEL(telemetry::tracer().instant(tel_.track, "overload",
-                                          "queue_full_backoff", p.generation,
-                                          exec_.now()));
-      OAF_TEL(telemetry::anomaly().ring().instant(
-          tel_.anomaly_track, "overload", "queue_full_backoff", p.generation,
-          exec_.now()));
+      telemetry::tracer().instant(tel_.track, "overload",
+                                  "queue_full_backoff", p.generation,
+                                  exec_.now());
       // The backoff window is off-path time; kDetour accrues until resubmit.
       p.ledger.enter(telemetry::Stage::kDetour, exec_.now());
       p.attempts++;
@@ -1204,9 +1168,9 @@ void NvmfInitiator::complete(u16 cid, const pdu::NvmeCpl& cpl, u64 io_ns,
   trace_end_span(p);
   if (cpl.status == pdu::NvmeStatus::kAbortedByRequest) {
     counters_.commands_aborted++;
-    OAF_TEL(telemetry::bump(tel_.cmds_aborted));
-    OAF_TEL(telemetry::tracer().instant(tel_.track, "resilience", "aborted",
-                                        p.generation, exec_.now()));
+    telemetry::bump(tel_.cmds_aborted);
+    telemetry::tracer().instant(tel_.track, "resilience", "aborted",
+                                p.generation, exec_.now());
   }
   IoResult res;
   res.cpl = cpl;
@@ -1239,8 +1203,8 @@ void NvmfInitiator::complete(u16 cid, const pdu::NvmeCpl& cpl, u64 io_ns,
   ios_completed_++;
   // cycles/IO denominator (one relaxed load when cycle accounting is off).
   telemetry::prof::cycle_ledger().add_io();
-  OAF_TEL(telemetry::bump(tel_.ios));
-  OAF_TEL(tel_.latency->record(res.total_ns));
+  telemetry::bump(tel_.ios);
+  tel_.latency->record(res.total_ns);
   if (cpl.ok()) {
     // Per-path latency EWMA (alpha 1/8) for the latency-aware selector.
     const auto t = static_cast<double>(res.total_ns);

@@ -446,11 +446,9 @@ class NvmfInitiator : public IoSession {
 
   /// Cached process-global telemetry handles (DESIGN.md §9). Counters mirror
   /// `counters_` so the resilience ladder exports uniformly; the trace track
-  /// is this connection's initiator lane. All null / zero when telemetry is
-  /// compiled out.
+  /// is this connection's initiator lane.
   struct Tel {
     u32 track = 0;
-    u32 anomaly_track = 0;  ///< lane in the always-on anomaly ring
     telemetry::Counter* ios = nullptr;
     telemetry::HistogramMetric* latency = nullptr;
     telemetry::Counter* reconnects = nullptr;

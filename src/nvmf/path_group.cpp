@@ -3,12 +3,10 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "telemetry/flight.h"
 
 namespace oaf::nvmf {
 
 void PathGroup::init_telemetry() {
-#if OAF_TELEMETRY_COMPILED
   auto& m = telemetry::metrics();
   tel_.track = telemetry::tracer().track("pg:" + opts_.name);
   tel_.failovers = m.counter("oaf_pathgroup_failovers_total",
@@ -23,7 +21,6 @@ void PathGroup::init_telemetry() {
   tel_.duplicates =
       m.counter("oaf_pathgroup_duplicates_suppressed_total",
                 "Late completions fenced by the group sequence map");
-#endif
 }
 
 PathGroup::PathGroup(Executor& exec, PathGroupOptions opts,
@@ -141,8 +138,9 @@ void PathGroup::dispatch(u64 gseq) {
       live_.erase(it);
       ios_completed_++;
       park_overflows_++;
-      OAF_TEL(telemetry::bump(tel_.park_overflow));
-      telemetry::flight().note("overload", "park_overflow", gseq, exec_.now());
+      telemetry::bump(tel_.park_overflow);
+      telemetry::tracer().instant(tel_.track, "overload", "park_overflow",
+                                  gseq, exec_.now());
       OAF_WARN_RL("pathgroup %s: parked queue full (%zu), failing fast",
                   opts_.name.c_str(), parked_.size());
       IoResult res;
@@ -157,7 +155,7 @@ void PathGroup::dispatch(u64 gseq) {
     }
     parked_.push_back(gseq);
     parked_total_++;
-    OAF_TEL(telemetry::bump(tel_.parked));
+    telemetry::bump(tel_.parked);
     return;
   }
   const size_t pick = selector_->pick(views) % views.size();
@@ -168,10 +166,8 @@ void PathGroup::issue_on_path(u64 gseq, u32 path_index) {
   GroupCmd& cmd = live_[gseq];
   if (cmd.detour_start != 0) {
     if (cmd.op == GroupCmd::Op::kWrite || cmd.op == GroupCmd::Op::kRead) {
-      telemetry::attribution().record_detour(
-          cmd.op == GroupCmd::Op::kWrite ? telemetry::OpClass::kWrite
-                                         : telemetry::OpClass::kRead,
-          exec_.now() - cmd.detour_start, exec_.now());
+      telemetry::attribution().record_detour(exec_.now() - cmd.detour_start,
+                                             exec_.now());
     }
     cmd.detour_start = 0;
   }
@@ -216,11 +212,9 @@ void PathGroup::finish_path_accounting(const GroupCmd& cmd) {
   if (displaced_ > 0 && !eligible(slot)) {
     displaced_--;
     if (displaced_ == 0) {
-      telemetry::flight().note("multipath", "failover_complete",
-                               failover_redrives_, exec_.now());
-      OAF_TEL(telemetry::tracer().instant(
+      telemetry::tracer().instant(
           tel_.track, "multipath", "failover_complete", failover_redrives_,
-          exec_.now(), "redrives", static_cast<i64>(failover_redrives_)));
+          exec_.now(), "redrives", static_cast<i64>(failover_redrives_));
       failover_redrives_ = 0;
     }
   }
@@ -231,10 +225,9 @@ void PathGroup::note_redrive(u64 gseq, GroupCmd& cmd) {
   cmd.detour_start = exec_.now();
   redrives_++;
   failover_redrives_++;
-  OAF_TEL(telemetry::bump(tel_.redrives));
-  telemetry::flight().note("multipath", "redrive", gseq, exec_.now());
-  OAF_TEL(telemetry::tracer().instant(tel_.track, "multipath", "redrive",
-                                      gseq, exec_.now()));
+  telemetry::bump(tel_.redrives);
+  telemetry::tracer().instant(tel_.track, "multipath", "redrive", gseq,
+                              exec_.now());
 }
 
 void PathGroup::on_io_result(u64 gseq, IoResult res) {
@@ -244,7 +237,7 @@ void PathGroup::on_io_result(u64 gseq, IoResult res) {
     // and delivered elsewhere); this is a late duplicate from a path that
     // died mid-completion. Count it, never surface it.
     duplicates_suppressed_++;
-    OAF_TEL(telemetry::bump(tel_.duplicates));
+    telemetry::bump(tel_.duplicates);
     return;
   }
   finish_path_accounting(it->second);
@@ -269,7 +262,7 @@ void PathGroup::on_identify_result(u64 gseq, Result<std::pair<u32, u64>> r) {
   const auto it = live_.find(gseq);
   if (it == live_.end()) {
     duplicates_suppressed_++;
-    OAF_TEL(telemetry::bump(tel_.duplicates));
+    telemetry::bump(tel_.duplicates);
     return;
   }
   finish_path_accounting(it->second);
@@ -293,19 +286,18 @@ void PathGroup::on_path_event(u32 path_index, NvmfInitiator::PathEvent e) {
   const bool now_eligible = eligible(slot);
   if (slot.was_eligible && !now_eligible) {
     failovers_++;
-    OAF_TEL(telemetry::bump(tel_.failovers));
+    telemetry::bump(tel_.failovers);
     displaced_ += slot.inflight;
-    telemetry::flight().note("multipath", "failover_start", slot.inflight,
-                             exec_.now());
-    OAF_TEL(telemetry::tracer().instant(
+    telemetry::tracer().instant(
         tel_.track, "multipath", "failover_start", path_index, exec_.now(),
-        "inflight", static_cast<i64>(slot.inflight)));
+        "inflight", static_cast<i64>(slot.inflight));
     OAF_WARN("pathgroup %s: path %u lost (%u in flight)", opts_.name.c_str(),
              path_index, slot.inflight);
     if (slot.inflight == 0) {
       // Nothing was riding the path; the failover is instantaneous.
-      telemetry::flight().note("multipath", "failover_complete", 0,
-                               exec_.now());
+      telemetry::tracer().instant(tel_.track, "multipath",
+                                  "failover_complete", 0, exec_.now(),
+                                  "redrives", 0);
     }
   }
   slot.was_eligible = now_eligible;

@@ -44,11 +44,8 @@ NvmfTargetConnection::NvmfTargetConnection(Executor& exec,
 }
 
 void NvmfTargetConnection::init_telemetry() {
-#if OAF_TELEMETRY_COMPILED
   auto& m = telemetry::metrics();
   tel_.track = telemetry::tracer().track("target:" + opts_.connection_name);
-  tel_.anomaly_track =
-      telemetry::anomaly().track("target:" + opts_.connection_name);
   tel_.commands = m.counter("oaf_target_commands_total",
                             "Commands fully served by target connections");
   tel_.r2ts = m.counter("oaf_target_r2ts_total",
@@ -71,22 +68,15 @@ void NvmfTargetConnection::init_telemetry() {
   tel_.shed = m.counter("oaf_target_commands_shed_total",
                         "Admitted commands shed with kQueueFull by the "
                         "overload high-watermark policy");
-#endif
 }
 
 void NvmfTargetConnection::trace_end_cmd(u16 cid) {
-  (void)cid;
-  OAF_TEL({
-    const auto it = inflight_.find(cid);
-    if (it != inflight_.end()) {
-      telemetry::tracer().end(tel_.track, "target_io",
-                              op_span_name(it->second.cmd.opcode),
-                              it->second.span, exec_.now());
-      telemetry::anomaly().ring().end(tel_.anomaly_track, "target_io",
-                                      op_span_name(it->second.cmd.opcode),
-                                      it->second.span, exec_.now());
-    }
-  });
+  const auto it = inflight_.find(cid);
+  if (it != inflight_.end()) {
+    telemetry::tracer().end(tel_.track, "target_io",
+                            op_span_name(it->second.cmd.opcode),
+                            it->second.span, exec_.now());
+  }
 }
 
 NvmfTargetConnection::~NvmfTargetConnection() {
@@ -128,7 +118,7 @@ void NvmfTargetConnection::on_pdu(Pdu pdu) {
         Pdu out;
         out.header = echo;
         keepalives_answered_++;
-        OAF_TEL(telemetry::bump(tel_.keepalives));
+        telemetry::bump(tel_.keepalives);
         control_.send(std::move(out));
       }
       break;
@@ -145,7 +135,8 @@ void NvmfTargetConnection::on_pdu(Pdu pdu) {
       break;
     case pdu::PduType::kH2CTermReq:
       OAF_WARN("target received TermReq: %s", pdu.as<pdu::TermReq>()->reason.c_str());
-      telemetry::flight().note("resilience", "termreq_received", 0, exec_.now());
+      telemetry::tracer().instant(tel_.track, "resilience", "termreq_received",
+                                  0, exec_.now());
       (void)telemetry::flight().dump_now("target received TermReq from host");
       control_.close();
       break;
@@ -165,7 +156,8 @@ void NvmfTargetConnection::on_icreq(const pdu::ICReq& req) {
     reject.admitted = false;
     reject.retry_after_ms = opts_.reject_retry_after_ms;
     reject.reject_reason = opts_.reject_reason;
-    telemetry::flight().note("overload", "connect_rejected", 0, exec_.now());
+    telemetry::tracer().instant(tel_.track, "overload", "connect_rejected", 0,
+                                exec_.now());
     OAF_WARN("target %s: rejecting connect (%s)",
              opts_.connection_name.c_str(), opts_.reject_reason.c_str());
     Pdu out;
@@ -213,8 +205,7 @@ DurNs NvmfTargetConnection::target_time(u16 cid, DurNs io_time) const {
 
 void NvmfTargetConnection::send_resp(u16 cid, const pdu::NvmeCpl& cpl,
                                      DurNs io_time, std::vector<u8> payload) {
-  const telemetry::prof::CostScope cost(
-      telemetry::prof::CostCenter::kComplete);
+  const telemetry::prof::CostScope cost(telemetry::Stage::kComplete);
   pdu::CapsuleResp resp;
   resp.cpl = cpl;
   resp.io_time_ns = static_cast<u64>(io_time);
@@ -230,15 +221,16 @@ void NvmfTargetConnection::send_resp(u16 cid, const pdu::NvmeCpl& cpl,
   }
   erase_inflight(cid);
   commands_served_++;
-  OAF_TEL(telemetry::bump(tel_.commands));
+  telemetry::bump(tel_.commands);
   control_.send(std::move(pdu));
 }
 
 void NvmfTargetConnection::reject_queue_full(u16 cid, u16 gen,
                                              const char* why) {
   queue_full_rejects_++;
-  OAF_TEL(telemetry::bump(tel_.queue_full));
-  telemetry::flight().note("overload", "queue_full", cid, exec_.now());
+  telemetry::bump(tel_.queue_full);
+  telemetry::tracer().instant(tel_.track, "overload", "queue_full", cid,
+                              exec_.now());
   OAF_WARN_RL("target %s: kQueueFull for cid %u (%s)",
               opts_.connection_name.c_str(), cid, why);
   pdu::CapsuleResp resp;
@@ -294,8 +286,9 @@ bool NvmfTargetConnection::shed_oldest() {
   }
   if (!found) return false;
   commands_shed_++;
-  OAF_TEL(telemetry::bump(tel_.shed));
-  telemetry::flight().note("overload", "shed", victim, exec_.now());
+  telemetry::bump(tel_.shed);
+  telemetry::tracer().instant(tel_.track, "overload", "shed", victim,
+                              exec_.now());
   OAF_WARN_RL("target %s: shedding cid %u under overload",
               opts_.connection_name.c_str(), victim);
   if (ep_.shm_attached()) {
@@ -311,7 +304,7 @@ bool NvmfTargetConnection::shed_oldest() {
 void NvmfTargetConnection::evict(const std::string& reason) {
   if (evicted_) return;
   evicted_ = true;
-  telemetry::flight().note("overload", "evict", 0, exec_.now());
+  telemetry::tracer().instant(tel_.track, "overload", "evict", 0, exec_.now());
   OAF_WARN("target %s: evicting association (%s)",
            opts_.connection_name.c_str(), reason.c_str());
   send_term("evicted: " + reason);
@@ -335,8 +328,8 @@ void NvmfTargetConnection::set_ana_state(pdu::AnaState state,
   OAF_WARN("target %s: advertising ana %s (%s)",
            opts_.connection_name.c_str(), pdu::to_string(state),
            reason.c_str());
-  telemetry::flight().note("multipath", "ana_advertised", log.change_seq,
-                           exec_.now());
+  telemetry::tracer().instant(tel_.track, "multipath", "ana_advertised",
+                              log.change_seq, exec_.now());
   Pdu pdu;
   pdu.header = log;
   control_.send(std::move(pdu));
@@ -345,7 +338,8 @@ void NvmfTargetConnection::set_ana_state(pdu::AnaState state,
 void NvmfTargetConnection::send_term(const std::string& reason) {
   // TermReq tears down the association — exactly the moment the flight
   // recorder exists for.  Dump before the frame goes out.
-  telemetry::flight().note("resilience", "termreq_sent", 0, exec_.now());
+  telemetry::tracer().instant(tel_.track, "resilience", "termreq_sent", 0,
+                              exec_.now());
   (void)telemetry::flight().dump_now(("target sent TermReq: " + reason).c_str());
   pdu::TermReq term;
   term.from_host = false;
@@ -361,8 +355,7 @@ void NvmfTargetConnection::send_term(const std::string& reason) {
 // --------------------------------------------------------------------------
 
 void NvmfTargetConnection::on_capsule(Pdu pdu) {
-  const telemetry::prof::CostScope cost(
-      telemetry::prof::CostCenter::kTarget);
+  const telemetry::prof::CostScope cost(telemetry::Stage::kTarget);
   const auto& capsule = *pdu.as<pdu::CapsuleCmd>();
   const u16 cid = capsule.cmd.cid;
   if (inflight_.contains(cid)) {
@@ -420,13 +413,10 @@ void NvmfTargetConnection::on_capsule(Pdu pdu) {
   // arrival, kXfer while waiting on write data, kDevice under the device,
   // kComplete while the response/data goes back out.
   ctx.ledger.reset(ctx.arrival, telemetry::Stage::kTarget);
-  OAF_TEL(telemetry::tracer().begin(tel_.track, "target_io",
-                                    op_span_name(ctx.cmd.opcode), ctx.span,
-                                    ctx.arrival, "bytes",
-                                    static_cast<i64>(capsule.data_len)));
-  OAF_TEL(telemetry::anomaly().ring().begin(
-      tel_.anomaly_track, "target_io", op_span_name(ctx.cmd.opcode), ctx.span,
-      ctx.arrival, "bytes", static_cast<i64>(capsule.data_len)));
+  telemetry::tracer().begin(tel_.track, "target_io",
+                            op_span_name(ctx.cmd.opcode), ctx.span,
+                            ctx.arrival, "bytes",
+                            static_cast<i64>(capsule.data_len));
   governor_.record_op(capsule.cmd.is_write());
 
   ssd::Device* device = subsystem_.find(capsule.cmd.nsid);
@@ -500,10 +490,12 @@ void NvmfTargetConnection::on_capsule(Pdu pdu) {
       r2t.gen = ctx.gen;
       ctx.ledger.enter(telemetry::Stage::kXfer, exec_.now());
       r2ts_sent_++;
-      OAF_TEL(telemetry::bump(tel_.r2ts));
-      OAF_TEL(telemetry::tracer().instant(tel_.track, "target_io", "r2t_sent",
-                                          ctx.span, exec_.now(), "bytes",
-                                          static_cast<i64>(len)));
+      telemetry::bump(tel_.r2ts);
+      if (telemetry::tracer().enabled()) {
+        telemetry::tracer().instant(tel_.track, "target_io", "r2t_sent",
+                                    ctx.span, exec_.now(), "bytes",
+                                    static_cast<i64>(len));
+      }
       Pdu out;
       out.header = r2t;
       control_.send(std::move(out));
@@ -527,10 +519,9 @@ void NvmfTargetConnection::handle_abort(u16 cid) {
   const u16 victim = it->second.cmd.abort_cid;
   const u16 vgen = it->second.cmd.abort_gen;
   aborts_handled_++;
-  OAF_TEL(telemetry::bump(tel_.aborts_handled));
-  OAF_TEL(telemetry::tracer().instant(tel_.track, "resilience",
-                                      "abort_handled", it->second.span,
-                                      exec_.now()));
+  telemetry::bump(tel_.aborts_handled);
+  telemetry::tracer().instant(tel_.track, "resilience", "abort_handled",
+                              it->second.span, exec_.now());
   // cpl.result: 0 = victim found and cancelled, 1 = no record of the victim
   // (its capsule or completion was lost; the host replays it).
   u64 result = 1;
@@ -539,7 +530,7 @@ void NvmfTargetConnection::handle_abort(u16 cid) {
       (vgen == 0 || vit->second.gen == 0 || vit->second.gen == vgen)) {
     IoCtx& vctx = vit->second;
     commands_aborted_++;
-    OAF_TEL(telemetry::bump(tel_.cmds_aborted));
+    telemetry::bump(tel_.cmds_aborted);
     result = 0;
     OAF_WARN_RL("target: aborting cid %u (device_busy=%d)", victim,
              static_cast<int>(vctx.device_busy));
@@ -631,7 +622,7 @@ void NvmfTargetConnection::on_h2c(Pdu pdu) {
         std::span<const u8>(pdu.payload.data(), pdu.payload.size()));
     if (computed != h2c.data_digest) {
       digest_errors_++;
-      OAF_TEL(telemetry::bump(tel_.digest_errors));
+      telemetry::bump(tel_.digest_errors);
       OAF_WARN_RL("H2CData digest mismatch for cid %u", cid);
       // Retryable at the host: the command replays on a fresh gen rather
       // than landing corrupt bytes on the device.
@@ -656,26 +647,19 @@ void NvmfTargetConnection::start_device_write(u16 cid) {
   IoCtx& ctx = it->second;
   ssd::Device* device = subsystem_.find(ctx.cmd.nsid);
   bytes_written_ += ctx.buffer.size();
-  OAF_TEL(telemetry::bump(tel_.bytes_written, ctx.buffer.size()));
+  telemetry::bump(tel_.bytes_written, ctx.buffer.size());
   ctx.device_busy = true;
   ctx.ledger.enter(telemetry::Stage::kDevice, exec_.now());
-  OAF_TEL(telemetry::tracer().begin(tel_.track, "target_io", "device",
-                                    ctx.span, exec_.now(), "bytes",
-                                    static_cast<i64>(ctx.buffer.size())));
-  OAF_TEL(telemetry::anomaly().ring().begin(
-      tel_.anomaly_track, "target_io", "device", ctx.span, exec_.now(),
-      "bytes", static_cast<i64>(ctx.buffer.size())));
+  telemetry::tracer().begin(tel_.track, "target_io", "device", ctx.span,
+                            exec_.now(), "bytes",
+                            static_cast<i64>(ctx.buffer.size()));
   device->submit_write(ctx.cmd, ctx.buffer,
                        [this, alive = alive_, cid, seq = ctx.seq,
                         span = ctx.span](pdu::NvmeCpl cpl, DurNs io_time) {
                          exec_serial_.assume_held();  // device completes here
                          if (!*alive) return;
-                         OAF_TEL(telemetry::tracer().end(
-                             tel_.track, "target_io", "device", span,
-                             exec_.now()));
-                         OAF_TEL(telemetry::anomaly().ring().end(
-                             tel_.anomaly_track, "target_io", "device", span,
-                             exec_.now()));
+                         telemetry::tracer().end(tel_.track, "target_io",
+                                                 "device", span, exec_.now());
                          drop_zombie(seq);
                          const auto it2 = inflight_.find(cid);
                          if (it2 == inflight_.end() ||
@@ -698,23 +682,15 @@ void NvmfTargetConnection::handle_read(u16 cid) {
   ctx.buffer.resize(len);
   ctx.device_busy = true;
   ctx.ledger.enter(telemetry::Stage::kDevice, exec_.now());
-  OAF_TEL(telemetry::tracer().begin(tel_.track, "target_io", "device",
-                                    ctx.span, exec_.now(), "bytes",
-                                    static_cast<i64>(len)));
-  OAF_TEL(telemetry::anomaly().ring().begin(tel_.anomaly_track, "target_io",
-                                            "device", ctx.span, exec_.now(),
-                                            "bytes", static_cast<i64>(len)));
+  telemetry::tracer().begin(tel_.track, "target_io", "device", ctx.span,
+                            exec_.now(), "bytes", static_cast<i64>(len));
   device->submit_read(ctx.cmd, ctx.buffer,
                       [this, alive = alive_, cid, seq = ctx.seq,
                        span = ctx.span](pdu::NvmeCpl cpl, DurNs io_time) {
                         exec_serial_.assume_held();  // device completes here
                         if (!*alive) return;
-                        OAF_TEL(telemetry::tracer().end(tel_.track,
-                                                        "target_io", "device",
-                                                        span, exec_.now()));
-                        OAF_TEL(telemetry::anomaly().ring().end(
-                            tel_.anomaly_track, "target_io", "device", span,
-                            exec_.now()));
+                        telemetry::tracer().end(tel_.track, "target_io",
+                                                "device", span, exec_.now());
                         drop_zombie(seq);
                         const auto it2 = inflight_.find(cid);
                         if (it2 == inflight_.end() || it2->second.seq != seq) {
@@ -735,7 +711,7 @@ void NvmfTargetConnection::finish_read(u16 cid, pdu::NvmeCpl cpl, DurNs io_time)
     return;
   }
   bytes_read_ += ctx.buffer.size();
-  OAF_TEL(telemetry::bump(tel_.bytes_read, ctx.buffer.size()));
+  telemetry::bump(tel_.bytes_read, ctx.buffer.size());
 
   const bool fold_completion = af::read_success_flag(opts_.af, ep_.shm_ready());
 
@@ -774,7 +750,7 @@ void NvmfTargetConnection::finish_read(u16 cid, pdu::NvmeCpl cpl, DurNs io_time)
             record_attribution(it2->second);
             erase_inflight(cid);
             commands_served_++;
-            OAF_TEL(telemetry::bump(tel_.commands));
+            telemetry::bump(tel_.commands);
             control_.send(std::move(pdu));
           });
       if (!st) {
@@ -824,7 +800,7 @@ void NvmfTargetConnection::finish_read(u16 cid, pdu::NvmeCpl cpl, DurNs io_time)
     record_attribution(ctx);
     erase_inflight(cid);
     commands_served_++;
-    OAF_TEL(telemetry::bump(tel_.commands));
+    telemetry::bump(tel_.commands);
   }
 }
 
@@ -953,15 +929,15 @@ void NvmfTargetConnection::handle_admin(u16 cid) {
   if (ctx.cmd.opcode == NvmeOpcode::kFlush) {
     ssd::Device* device = subsystem_.find(ctx.cmd.nsid);
     ctx.device_busy = true;
-    OAF_TEL(telemetry::tracer().begin(tel_.track, "target_io", "device",
-                                      ctx.span, exec_.now()));
+    telemetry::tracer().begin(tel_.track, "target_io", "device", ctx.span,
+                              exec_.now());
     device->submit_other(
         ctx.cmd, [this, alive = alive_, cid, seq = ctx.seq,
                   span = ctx.span](pdu::NvmeCpl cpl, DurNs io_time) {
           exec_serial_.assume_held();  // device completes here
           if (!*alive) return;
-          OAF_TEL(telemetry::tracer().end(tel_.track, "target_io", "device",
-                                          span, exec_.now()));
+          telemetry::tracer().end(tel_.track, "target_io", "device", span,
+                                  exec_.now());
           drop_zombie(seq);
           const auto it2 = inflight_.find(cid);
           if (it2 == inflight_.end() || it2->second.seq != seq) return;

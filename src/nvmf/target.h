@@ -328,10 +328,9 @@ class NvmfTargetConnection {
 
   /// Cached process-global telemetry handles (DESIGN.md §9). The trace track
   /// is this connection's target lane; spans pair with the initiator's via
-  /// the shared timeline. Null / zero when telemetry is compiled out.
+  /// the shared timeline.
   struct Tel {
     u32 track = 0;
-    u32 anomaly_track = 0;  ///< lane in the always-on anomaly ring
     telemetry::Counter* commands = nullptr;
     telemetry::Counter* r2ts = nullptr;
     telemetry::Counter* bytes_read = nullptr;

@@ -22,7 +22,6 @@ NvmfTargetService::NvmfTargetService(Executor& exec, net::Copier& copier,
       subsystem_(subsystem),
       opts_(std::move(opts)),
       global_staging_(opts_.global_staging_bytes) {
-#if OAF_TELEMETRY_COMPILED
   auto& m = telemetry::metrics();
   tel_reaped_ = m.counter("oaf_target_associations_reaped_total",
                           "Associations garbage-collected (closed channel, "
@@ -47,7 +46,6 @@ NvmfTargetService::NvmfTargetService(Executor& exec, net::Copier& copier,
       [this]() -> i64 {
         return static_cast<i64>(global_staging_.capacity());
       });
-#endif
 }
 
 NvmfTargetService::~NvmfTargetService() {
@@ -68,7 +66,7 @@ NvmfTargetConnection* NvmfTargetService::accept(
     OAF_WARN("target service: replacing stale association %s",
              conn_name.c_str());
     reaped_++;
-    OAF_TEL(telemetry::bump(tel_reaped_));
+    telemetry::bump(tel_reaped_);
     retired_commands_ += same_name->conn->commands_served();
     retired_queue_full_ += same_name->conn->queue_full_rejects();
     retired_shed_ += same_name->conn->commands_shed();
@@ -99,7 +97,7 @@ NvmfTargetConnection* NvmfTargetService::accept(
     topts.reject_retry_after_ms = opts_.reject_retry_after_ms;
     assoc.reject = true;
     connects_rejected_++;
-    OAF_TEL(telemetry::bump(tel_connects_rejected_));
+    telemetry::bump(tel_connects_rejected_);
   }
   assoc.conn = std::make_unique<NvmfTargetConnection>(
       exec_, *assoc.channel, copier_, broker_, subsystem_, std::move(topts));
@@ -125,7 +123,7 @@ std::size_t NvmfTargetService::reap_expired() {
     }
   }
   reaped_ += reaped;
-  OAF_TEL(telemetry::bump(tel_reaped_, reaped));
+  telemetry::bump(tel_reaped_, reaped);
   return reaped;
 }
 
@@ -160,7 +158,7 @@ void NvmfTargetService::overload_tick() {
       if (a.reject || a.conn->evicted() || a.conn->closed()) continue;
       if (a.conn->oldest_inflight_age(now) > opts_.stall_timeout_ns) {
         evictions_++;
-        OAF_TEL(telemetry::bump(tel_evicted_));
+        telemetry::bump(tel_evicted_);
         a.conn->evict("stalled past watermark");
       }
     }

@@ -222,7 +222,7 @@ struct AnaLog {
 };
 
 /// Anomaly-event fetch (host -> controller). On an SLO breach the host asks
-/// the peer for its half of the story: every buffered anomaly-ring event
+/// the peer for its half of the story: every event in its trace ring
 /// matching `trace_id` plus neighbours inside [t_from_ns, t_to_ns] — a
 /// window already translated onto the *target's* clock. `offset_ns` is the
 /// host's remote-minus-local estimate; the target subtracts it from every

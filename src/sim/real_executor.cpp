@@ -14,7 +14,6 @@
 #include "common/log.h"
 #include "telemetry/prof/cost_center.h"
 #include "telemetry/prof/reactor_health.h"
-#include "telemetry/telemetry.h"
 
 namespace oaf::sim {
 
@@ -39,12 +38,9 @@ int checked(int fd, const char* what) {
 /// Reactor bookkeeping after one task or readiness dispatch that began at
 /// `t0`: the work may have left a per-I/O cost center stamped, and CPU
 /// burned between dispatches belongs to the reactor itself.
-void account([[maybe_unused]] TimeNs t0, [[maybe_unused]] TimeNs t1,
-             [[maybe_unused]] u64 runq) {
-#if OAF_TELEMETRY_COMPILED
-  telemetry::prof::set_cost_center(telemetry::prof::CostCenter::kReactor);
+void account(TimeNs t0, TimeNs t1, u64 runq) {
+  telemetry::prof::set_cost_center(telemetry::Stage::kReactor);
   telemetry::prof::reactor_health().on_task(t1 - t0, runq);
-#endif
 }
 
 }  // namespace
@@ -195,9 +191,7 @@ int RealExecutor::wait(epoll_event* events, int max_events, DurNs wait_ns) {
   timespec ts{};
   ts.tv_sec = static_cast<time_t>(ns / 1'000'000'000);
   ts.tv_nsec = static_cast<long>(ns % 1'000'000'000);
-#if OAF_TELEMETRY_COMPILED
   const TimeNs idle0 = slept ? clock_now() : 0;
-#endif
   int n = ::epoll_pwait2(epfd_, events, max_events,
                          wait_ns < 0 ? nullptr : &ts, nullptr);
   if (n < 0) {
@@ -206,9 +200,7 @@ int RealExecutor::wait(epoll_event* events, int max_events, DurNs wait_ns) {
     }
     n = 0;
   }
-#if OAF_TELEMETRY_COMPILED
   if (slept) telemetry::prof::reactor_health().on_idle(clock_now() - idle0);
-#endif
   std::lock_guard<std::mutex> lk(mu_);
   asleep_ = false;
   if (stop_) return -1;

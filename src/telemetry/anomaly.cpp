@@ -10,8 +10,7 @@
 
 namespace oaf::telemetry {
 
-AnomalyRecorder::AnomalyRecorder(size_t capacity) : ring_(capacity) {
-  ring_.set_enabled(true);
+AnomalyRecorder::AnomalyRecorder() {
   captures_total_ = metrics().counter("oaf_anomaly_captures_total",
                                       "Anomaly capture files written");
 }
@@ -41,15 +40,17 @@ i64 AnomalyRecorder::begin_capture(TimeNs now) {
 std::string AnomalyRecorder::events_json(u64 trace_id, TimeNs from_ns,
                                          TimeNs to_ns, i64 ts_adjust_ns,
                                          size_t max_events) const {
-  const std::vector<TraceEvent> events = ring_.snapshot();
+  const std::vector<TraceEvent> events =
+      tracer().snapshot([&](const TraceEvent& ev) {
+        if (ev.name == nullptr || ev.cat == nullptr) return false;  // blank
+        const bool ours = trace_id != 0 && ev.id == trace_id;
+        const bool neighbour = ev.ts_ns >= from_ns && ev.ts_ns <= to_ns;
+        return ours || neighbour;
+      });
   JsonWriter w;
   w.begin_array();
   size_t emitted = 0;
   for (const TraceEvent& ev : events) {
-    if (ev.name == nullptr || ev.cat == nullptr) continue;  // blank slot
-    const bool ours = trace_id != 0 && ev.id == trace_id;
-    const bool neighbour = ev.ts_ns >= from_ns && ev.ts_ns <= to_ns;
-    if (!ours && !neighbour) continue;
     if (emitted++ >= max_events) break;
     w.begin_object();
     w.key("name").value(ev.name);

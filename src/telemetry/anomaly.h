@@ -1,8 +1,9 @@
-// Retroactive anomaly capture (Hindsight-style): every I/O's spans buffer in
-// an always-on wait-free trace ring regardless of trace mode; when an I/O
-// breaches its SLO the ring's recent history — the breaching I/O, its
+// Retroactive anomaly capture (Hindsight-style): every I/O's spans land in
+// the process's one trace ring (tracer()) regardless of trace mode; when an
+// I/O breaches its SLO the ring's recent history — the breaching I/O, its
 // neighbours on the same connection, and the peer-side half fetched over the
-// wire by trace_id — is promoted to a durable oaf_anomaly_<n>.json.
+// wire by trace_id — is promoted to a durable oaf_anomaly_<n>.json. The
+// recorder owns no ring: it is a filtered reader of tracer().
 //
 // The trade the flight recorder makes for crashes, this makes for tail
 // latency: record everything cheaply all the time, pay the serialization
@@ -10,8 +11,8 @@
 // turn out to matter. Tracing stays off; the evidence survives anyway.
 //
 // Lifecycle:
-//   1. Process start: anomaly() exists, ring enabled, capture DISARMED —
-//      unit tests exercising SLO paths don't litter the filesystem.
+//   1. Process start: anomaly() exists, capture DISARMED — unit tests
+//      exercising SLO paths don't litter the filesystem.
 //   2. Tools call anomaly().configure({dir, ...}) to arm capture.
 //   3. The initiator's completion path asks attribution().record() for the
 //      breach verdict; on breach it calls begin_capture() (rate-limited so
@@ -24,7 +25,7 @@
 //      evidence with a gap beats no evidence.
 //
 // The target arms its own recorder when given SLO flags and captures
-// locally (no reverse fetch); either side answers AnomalyReq from its ring.
+// locally (no reverse fetch); either side answers AnomalyReq from tracer().
 #pragma once
 
 #include <string>
@@ -32,7 +33,6 @@
 #include "common/mutex.h"
 #include "common/types.h"
 #include "telemetry/attribution.h"
-#include "telemetry/trace.h"
 
 namespace oaf::telemetry {
 
@@ -64,13 +64,7 @@ struct AnomalyContext {
 
 class AnomalyRecorder {
  public:
-  explicit AnomalyRecorder(size_t capacity = 4096);
-
-  /// The always-enabled span buffer. Components mirror per-I/O span
-  /// begin/end plus high-signal instants here (wrapped in OAF_TEL like
-  /// every other instrumentation site).
-  TraceRecorder& ring() { return ring_; }
-  u32 track(const std::string& name) { return ring_.track(name); }
+  AnomalyRecorder();
 
   /// Arm capture into opts.dir. Idempotent.
   void configure(const AnomalyOptions& opts);
@@ -93,7 +87,7 @@ class AnomalyRecorder {
   /// current attribution heatmap. Returns the path, or "" on I/O failure.
   std::string capture(const AnomalyContext& ctx);
 
-  /// The local ring filtered for one capture: events whose async id matches
+  /// tracer()'s ring filtered for one capture: events whose async id matches
   /// `trace_id` (the I/O's full span set) plus any event inside
   /// [from_ns, to_ns] (neighbour I/Os, instants). `ts_adjust_ns` is added
   /// to every emitted ts_ns — the target answers AnomalyReq with
@@ -112,7 +106,6 @@ class AnomalyRecorder {
   void reset_for_test();
 
  private:
-  TraceRecorder ring_;
   mutable Mutex mu_;
   AnomalyOptions opts_ OAF_GUARDED_BY(mu_);
   bool armed_ OAF_GUARDED_BY(mu_) = false;
@@ -122,8 +115,7 @@ class AnomalyRecorder {
   Counter* captures_total_ = nullptr;  ///< set once in the ctor
 };
 
-/// Process-global anomaly recorder (always recording, capture disarmed
-/// until configure()).
+/// Process-global anomaly recorder (capture disarmed until configure()).
 AnomalyRecorder& anomaly();
 
 }  // namespace oaf::telemetry

@@ -1,6 +1,7 @@
 #include "telemetry/attribution.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/json.h"
 #include "telemetry/telemetry.h"
@@ -9,17 +10,7 @@ namespace oaf::telemetry {
 
 namespace {
 
-constexpr const char* kStageNames[kStageCount] = {
-    "queue", "encode", "grant", "xfer", "device", "target", "complete",
-    "detour"};
-
 constexpr const char* kClassNames[kOpClassCount] = {"read", "write"};
-
-/// Registry histogram names, one per stage (audited: histograms end _ns).
-constexpr const char* kStageMetricNames[kStageCount] = {
-    "oaf_stage_queue_ns",  "oaf_stage_encode_ns", "oaf_stage_grant_ns",
-    "oaf_stage_xfer_ns",   "oaf_stage_device_ns", "oaf_stage_target_ns",
-    "oaf_stage_complete_ns", "oaf_stage_detour_ns"};
 
 void histogram_json(JsonWriter& w, const Histogram& h) {
   w.begin_object();
@@ -33,11 +24,6 @@ void histogram_json(JsonWriter& w, const Histogram& h) {
 
 }  // namespace
 
-const char* to_string(Stage s) {
-  const auto i = static_cast<size_t>(s);
-  return i < kStageCount ? kStageNames[i] : "?";
-}
-
 const char* to_string(OpClass c) {
   const auto i = static_cast<size_t>(c);
   return i < kOpClassCount ? kClassNames[i] : "?";
@@ -45,8 +31,11 @@ const char* to_string(OpClass c) {
 
 Attribution::Attribution() {
   for (size_t s = 0; s < kStageCount; ++s) {
-    stage_hist_[s] = metrics().histogram(
-        kStageMetricNames[s], "Cumulative per-I/O time in this stage");
+    std::string name = "oaf_stage_";  // audited: histograms end _ns
+    name += kStageNames[s];
+    name += "_ns";
+    stage_hist_[s] =
+        metrics().histogram(name, "Cumulative per-I/O time in this stage");
   }
   breaches_total_ =
       metrics().counter("oaf_slo_breaches_total", "I/Os that breached their SLO");
@@ -89,8 +78,7 @@ Attribution::Slot& Attribution::slot_for_locked(TimeNs now) {
   if (slot.widx != widx) {
     // Rotation: the previous current window (if it still lives in the ring)
     // is now complete — publish its breach total before anything is lost.
-    if (last_widx_ != Slot::kEmpty && widx > last_widx_ &&
-        last_window_breaches_ != nullptr) {
+    if (last_widx_ != Slot::kEmpty && widx > last_widx_) {
       const Slot& prev = slots_[last_widx_ % slots_.size()];
       if (prev.widx == last_widx_) {
         last_window_breaches_->set(
@@ -128,7 +116,7 @@ bool Attribution::record(OpClass op, const StageLedger& ledger, i64 total_ns,
   for (size_t s = 0; s < kStageCount; ++s) {
     if (!ledger.was_touched(static_cast<Stage>(s))) continue;
     slot.stages[s].record(ledger.stage_ns[s]);
-    if (stage_hist_[s] != nullptr) stage_hist_[s]->record(ledger.stage_ns[s]);
+    stage_hist_[s]->record(ledger.stage_ns[s]);
   }
   const auto cls = static_cast<size_t>(op);
   slot.classes[cls].record(total_ns);
@@ -151,14 +139,13 @@ bool Attribution::record(OpClass op, const StageLedger& ledger, i64 total_ns,
   return breach;
 }
 
-void Attribution::record_detour(OpClass op, DurNs detour_ns, TimeNs now) {
+void Attribution::record_detour(DurNs detour_ns, TimeNs now) {
   if (!enabled() || detour_ns <= 0) return;
   MutexLock lk(mu_);
   Slot& slot = slot_for_locked(now);
-  (void)op;
   const auto d = static_cast<size_t>(Stage::kDetour);
   slot.stages[d].record(detour_ns);
-  if (stage_hist_[d] != nullptr) stage_hist_[d]->record(detour_ns);
+  stage_hist_[d]->record(detour_ns);
 }
 
 std::vector<WindowStats> Attribution::snapshot_windows(TimeNs now) const {
@@ -259,7 +246,6 @@ std::string Attribution::summary_json() const {
   JsonWriter w;
   w.begin_object();
   for (size_t s = 0; s < kStageCount; ++s) {
-    if (stage_hist_[s] == nullptr) continue;
     const Histogram h = stage_hist_[s]->snapshot();
     w.key(kStageNames[s]).begin_object();
     w.key("count").value(h.count());

@@ -43,46 +43,9 @@
 #include "common/types.h"
 #include "telemetry/metrics.h"
 #include "telemetry/prof/cost_center.h"
+#include "telemetry/stage.h"
 
 namespace oaf::telemetry {
-
-/// Lifecycle stages an I/O's nanoseconds are attributed to. Initiator and
-/// target use overlapping subsets of the same vocabulary so one heatmap
-/// renders both sides.
-enum class Stage : u8 {
-  kQueue = 0,    ///< submitted but not yet encoding (QD/admission wait)
-  kEncode = 1,   ///< capsule build + payload staging (shm fill / inline copy)
-  kGrant = 2,    ///< capsule sent, waiting for R2T / first response byte
-  kXfer = 3,     ///< data transfer on the wire (minus remote residency)
-  kDevice = 4,   ///< simulated device service time (reported by target)
-  kTarget = 5,   ///< target-side processing outside the device (reported)
-  kComplete = 6, ///< response send / completion processing
-  kDetour = 7,   ///< off-path time: retries, backoff, redrives, aborts
-};
-inline constexpr size_t kStageCount = 8;
-
-[[nodiscard]] const char* to_string(Stage s);
-
-// The profiling plane's cost centers mirror the stage vocabulary value for
-// value, so StageLedger transitions can stamp the thread-local cost-center
-// token with a plain cast (prof/cost_center.h documents the extra centers).
-static_assert(static_cast<u8>(prof::CostCenter::kQueue) ==
-              static_cast<u8>(Stage::kQueue));
-static_assert(static_cast<u8>(prof::CostCenter::kEncode) ==
-              static_cast<u8>(Stage::kEncode));
-static_assert(static_cast<u8>(prof::CostCenter::kGrant) ==
-              static_cast<u8>(Stage::kGrant));
-static_assert(static_cast<u8>(prof::CostCenter::kXfer) ==
-              static_cast<u8>(Stage::kXfer));
-static_assert(static_cast<u8>(prof::CostCenter::kDevice) ==
-              static_cast<u8>(Stage::kDevice));
-static_assert(static_cast<u8>(prof::CostCenter::kTarget) ==
-              static_cast<u8>(Stage::kTarget));
-static_assert(static_cast<u8>(prof::CostCenter::kComplete) ==
-              static_cast<u8>(Stage::kComplete));
-static_assert(static_cast<u8>(prof::CostCenter::kDetour) ==
-              static_cast<u8>(Stage::kDetour));
-static_assert(kStageCount <= prof::kCostCenterCount);
 
 /// Op classes with independent SLOs.
 enum class OpClass : u8 { kRead = 0, kWrite = 1 };
@@ -91,8 +54,9 @@ inline constexpr size_t kOpClassCount = 2;
 [[nodiscard]] const char* to_string(OpClass c);
 
 /// Fixed-size per-I/O stage accumulator. Lives inline in Pending/IoCtx;
-/// 88 bytes, no allocation, no locks. The open-phase cursor means call
-/// sites only mark transitions — durations fall out.
+/// 80 bytes, no allocation, no locks. The open-phase cursor means call
+/// sites only mark transitions — durations fall out. Every Stage passed in
+/// is a per-I/O stage (below kStageCount), never a cost-center-only value.
 struct StageLedger {
   std::array<i64, kStageCount> stage_ns{};
   TimeNs phase_start = 0;  ///< when the open stage started accruing
@@ -106,7 +70,7 @@ struct StageLedger {
     open_stage = static_cast<i8>(first);
     phase_start = now;
     touched |= static_cast<u8>(1u << static_cast<u8>(first));
-    prof::set_cost_center(static_cast<prof::CostCenter>(first));
+    prof::set_cost_center(first);
   }
 
   /// Close the open phase into its stage and open `s` at `now`. Also stamps
@@ -118,7 +82,7 @@ struct StageLedger {
     open_stage = static_cast<i8>(s);
     phase_start = now;
     touched |= static_cast<u8>(1u << static_cast<u8>(s));
-    prof::set_cost_center(static_cast<prof::CostCenter>(s));
+    prof::set_cost_center(s);
   }
 
   /// Credit `d` nanoseconds to `s` without moving the open-phase cursor
@@ -179,6 +143,11 @@ struct StageLedger {
   }
 };
 
+// Inline in every Pending and IoCtx: growing it grows every in-flight
+// command — deliberate only.
+static_assert(sizeof(void*) != 8 || sizeof(StageLedger) == 80,
+              "StageLedger footprint changed (LP64)");
+
 struct AttributionOptions {
   DurNs window_ns = 1'000'000'000;  ///< width of one window
   size_t windows = 8;               ///< ring depth (history = windows × width)
@@ -225,7 +194,7 @@ class Attribution {
 
   /// Attribute off-path time discovered outside a ledger's lifecycle
   /// (PathGroup redrives land here: the group, not the path, knows the gap).
-  void record_detour(OpClass op, DurNs detour_ns, TimeNs now);
+  void record_detour(DurNs detour_ns, TimeNs now);
 
   /// Windowed per-stage heatmap JSON (`oaf_stat heat`): oldest→newest live
   /// windows with per-stage and per-class windowed quantiles + breaches.
@@ -273,7 +242,7 @@ class Attribution {
   u64 last_widx_ OAF_GUARDED_BY(mu_) = Slot::kEmpty;
   std::atomic<bool> enabled_{false};
 
-  // Cached registry handles (telemetry may be compiled out → null-safe use).
+  // Registry handles, resolved once in the constructor.
   std::array<HistogramMetric*, kStageCount> stage_hist_{};
   Counter* breaches_total_ = nullptr;
   Counter* read_breaches_total_ = nullptr;

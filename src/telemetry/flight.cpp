@@ -14,6 +14,13 @@ namespace oaf::telemetry {
 
 namespace {
 
+/// The postmortem slice of the ring: control-path categories only.
+bool is_flight_event(const TraceEvent& ev) {
+  return ev.cat != nullptr && (std::strcmp(ev.cat, "resilience") == 0 ||
+                               std::strcmp(ev.cat, "overload") == 0 ||
+                               std::strcmp(ev.cat, "multipath") == 0);
+}
+
 void fatal_signal_handler(int signo) {
   // Best-effort postmortem; see the async-signal-safety note in flight.h.
   flight().dump_now(strsignal(signo) != nullptr ? strsignal(signo) : "signal");
@@ -24,11 +31,6 @@ void fatal_signal_handler(int signo) {
 }
 
 }  // namespace
-
-FlightRecorder::FlightRecorder(size_t capacity) : ring_(capacity) {
-  ring_.set_enabled(true);
-  track_ = ring_.track("flight");
-}
 
 void FlightRecorder::install(const FlightOptions& opts) {
   dir_ = opts.dir.empty() ? "." : opts.dir;
@@ -58,9 +60,10 @@ std::string FlightRecorder::dump_now(const char* reason) {
   w.begin_object();
   w.key("reason").value(reason != nullptr ? reason : "unknown");
   w.key("pid").value(static_cast<u64>(::getpid()));
-  w.key("dropped_events").value(ring_.dropped());
+  const TraceRecorder& ring = tracer();
+  w.key("dropped_events").value(ring.dropped());
   // Chrome-trace form so the postmortem loads straight into Perfetto.
-  w.key("trace").raw(ring_.to_chrome_json());
+  w.key("trace").raw(ring.to_chrome_json(ring.snapshot(is_flight_event)));
   w.key("metrics").raw(metrics().to_json());
   w.end_object();
   const std::string doc = w.take();

@@ -1,23 +1,23 @@
-// Always-on flight recorder: a small, compiled-in, drops-oldest trace ring
-// that survives even when full tracing is disabled, dumped to a postmortem
-// JSON file when the process dies badly.
+// Flight recorder: a postmortem reader of the process's one trace ring,
+// dumped to a JSON file when the process dies badly.
 //
-// The main TraceRecorder ring (telemetry/trace.h) is opt-in and sized for
-// offline analysis; the flight ring is its black-box sibling — always
-// recording the *cheap* events that matter for a postmortem (the resilience
-// ladder's deadline/abort/demote/reconnect instants, TermReqs, escalation
-// exhaustion) so the last seconds before a crash are reconstructible.
+// It owns no ring. Every control-path event worth a postmortem — the
+// resilience ladder's deadline/abort/demote/reconnect instants, TermReqs,
+// overload verdicts, multipath failovers — is recorded into tracer() whether
+// or not tracing is enabled, and the dump keeps only those categories
+// (resilience, overload, multipath), so the last seconds before a crash are
+// reconstructible without serialising the per-I/O spans around them.
 //
 // Lifecycle:
-//   1. Process start: flight() exists, ring enabled, dumping DISARMED —
-//      unit tests that exercise abort paths don't litter the filesystem.
+//   1. Process start: flight() exists, dumping DISARMED — unit tests that
+//      exercise abort paths don't litter the filesystem.
 //   2. Tools call flight().install({...}) to arm dumping (and optionally
 //      hook fatal signals: SIGSEGV/SIGABRT/SIGBUS/SIGFPE/SIGILL).
 //   3. On a fatal signal, a received/sent TermReq, or escalation-ladder
-//      exhaustion, dump_now(reason) writes oaf_flight_<pid>.json — the ring
-//      snapshot (Chrome trace form) plus a full metrics snapshot — then the
-//      signal is re-raised with default disposition so the exit status is
-//      preserved.
+//      exhaustion, dump_now(reason) writes oaf_flight_<pid>.json — the
+//      filtered ring snapshot (Chrome trace form) plus a full metrics
+//      snapshot — then the signal is re-raised with default disposition so
+//      the exit status is preserved.
 //
 // dump_now() from a signal handler is deliberately best-effort: it
 // allocates and calls stdio, which is not async-signal-safe. That is the
@@ -26,9 +26,8 @@
 // looping.
 #pragma once
 
+#include <atomic>
 #include <string>
-
-#include "telemetry/trace.h"
 
 namespace oaf::telemetry {
 
@@ -39,17 +38,6 @@ struct FlightOptions {
 
 class FlightRecorder {
  public:
-  explicit FlightRecorder(size_t capacity = 1024);
-
-  /// The always-enabled ring. Mirror cheap, high-signal events here.
-  TraceRecorder& ring() { return ring_; }
-
-  /// Convenience: record an instant on the flight track.
-  void note(const char* cat, const char* name, u64 id, TimeNs now,
-            const char* arg_name = nullptr, i64 arg = 0) {
-    ring_.instant(track_, cat, name, id, now, arg_name, arg);
-  }
-
   /// Arm dumping (and optionally fatal-signal hooks). Idempotent; the
   /// first caller wins the signal-handler installation.
   void install(const FlightOptions& opts);
@@ -60,15 +48,12 @@ class FlightRecorder {
   std::string dump_now(const char* reason);
 
  private:
-  TraceRecorder ring_;
-  u32 track_ = 0;
   std::string dir_ = ".";
   bool armed_ = false;
   std::atomic<bool> dumping_{false};
 };
 
-/// Process-global flight recorder (always recording, dump disarmed until
-/// install()).
+/// Process-global flight recorder (dump disarmed until install()).
 FlightRecorder& flight();
 
 }  // namespace oaf::telemetry

@@ -38,7 +38,7 @@ std::string alloc_ledger_json() {
     if (c.allocs == 0 && c.frees == 0) continue;
     if (!first) os << ',';
     first = false;
-    os << '"' << to_string(static_cast<CostCenter>(i))
+    os << '"' << to_string(static_cast<Stage>(i))
        << "\":{\"allocs\":" << c.allocs << ",\"frees\":" << c.frees
        << ",\"bytes\":" << c.bytes << '}';
   }

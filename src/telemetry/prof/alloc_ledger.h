@@ -69,9 +69,8 @@ class AllocLedger {
  private:
   static std::size_t center_index() {
     const u32 raw = internal::g_cost_center;
-    return raw < kCostCenterCount
-               ? raw
-               : static_cast<std::size_t>(CostCenter::kOther);
+    return raw < kCostCenterCount ? raw
+                                  : static_cast<std::size_t>(Stage::kOther);
   }
 
   std::atomic<u64> allocs_[kCostCenterCount]{};

@@ -5,41 +5,9 @@ namespace oaf::telemetry::prof {
 namespace internal {
 // Static (non-dynamic) initializer: valid before any constructor runs, so
 // the allocation interposer may read it during static initialization.
-constinit thread_local u32 g_cost_center = static_cast<u32>(CostCenter::kOther);
+constinit thread_local u32 g_cost_center = static_cast<u32>(Stage::kOther);
 constinit thread_local CostScope* g_scope_top = nullptr;
 }  // namespace internal
-
-const char* to_string(CostCenter c) {
-  switch (c) {
-    case CostCenter::kQueue:
-      return "queue";
-    case CostCenter::kEncode:
-      return "encode";
-    case CostCenter::kGrant:
-      return "grant";
-    case CostCenter::kXfer:
-      return "xfer";
-    case CostCenter::kDevice:
-      return "device";
-    case CostCenter::kTarget:
-      return "target";
-    case CostCenter::kComplete:
-      return "complete";
-    case CostCenter::kDetour:
-      return "detour";
-    case CostCenter::kSubmit:
-      return "submit";
-    case CostCenter::kReactor:
-      return "reactor";
-    case CostCenter::kIdle:
-      return "idle";
-    case CostCenter::kControl:
-      return "control";
-    case CostCenter::kOther:
-      return "other";
-  }
-  return "other";
-}
 
 CycleLedger& cycle_ledger() {
   // constinit, not a lazily-constructed Meyers static: CostScope may consult

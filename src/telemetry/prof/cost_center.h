@@ -2,9 +2,9 @@
 //
 // The profiling plane (DESIGN.md §15) attributes three currencies — CPU
 // samples, TSC cycles, and heap allocations — to the same small set of
-// centers. The first eight values mirror telemetry::Stage one-to-one so a
-// StageLedger::enter() can stamp the token for free; the remainder cover
-// work that happens outside a per-I/O stage (submission path, reactor
+// centers. A center is a telemetry::Stage (telemetry/stage.h): the per-I/O
+// stages, so a StageLedger::enter() stamps the token for free, plus the
+// centers for work outside a per-I/O stage (submission path, reactor
 // bookkeeping, idle waits, control plane).
 //
 // Reading the token must be async-signal-safe: the SIGPROF sampler reads it
@@ -18,30 +18,9 @@
 #include <cstddef>
 
 #include "common/types.h"
+#include "telemetry/stage.h"
 
 namespace oaf::telemetry::prof {
-
-enum class CostCenter : u8 {
-  // 0..7 mirror telemetry::Stage (static_asserted in attribution.h).
-  kQueue = 0,
-  kEncode = 1,
-  kGrant = 2,
-  kXfer = 3,
-  kDevice = 4,
-  kTarget = 5,
-  kComplete = 6,
-  kDetour = 7,
-  // Centers with no Stage counterpart.
-  kSubmit = 8,   ///< initiator submit fast path (user call -> wire)
-  kReactor = 9,  ///< executor loop bookkeeping between tasks
-  kIdle = 10,    ///< blocked in cv/poll waits
-  kControl = 11, ///< connect/login/admin, reconfiguration
-  kOther = 12,   ///< anything not yet scoped (the default)
-};
-
-inline constexpr std::size_t kCostCenterCount = 13;
-
-const char* to_string(CostCenter c);
 
 namespace internal {
 // Not an atomic on purpose: stores happen on the owning thread and the only
@@ -52,18 +31,17 @@ namespace internal {
 extern constinit thread_local u32 g_cost_center;
 }  // namespace internal
 
-inline void set_cost_center(CostCenter c) {
+inline void set_cost_center(Stage c) {
   internal::g_cost_center = static_cast<u32>(c);
 }
 
-inline CostCenter current_cost_center() {
-  return static_cast<CostCenter>(internal::g_cost_center);
+inline Stage current_cost_center() {
+  return static_cast<Stage>(internal::g_cost_center);
 }
 
 /// Clamp a raw token (e.g. read by the sampler) to a valid center.
-inline CostCenter clamp_cost_center(u32 raw) {
-  return raw < kCostCenterCount ? static_cast<CostCenter>(raw)
-                                : CostCenter::kOther;
+inline Stage clamp_cost_center(u32 raw) {
+  return raw < kCostCenterCount ? static_cast<Stage>(raw) : Stage::kOther;
 }
 
 /// Raw cycle counter. TSC on x86; zero elsewhere (cycle accounting then
@@ -92,7 +70,7 @@ class CycleLedger {
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   /// Cycles + one visit (a scope completed in this center).
-  void charge(CostCenter c, u64 cycles) {
+  void charge(Stage c, u64 cycles) {
     const auto i = static_cast<std::size_t>(c);
     cycles_[i].fetch_add(cycles, std::memory_order_relaxed);
     visits_[i].fetch_add(1, std::memory_order_relaxed);
@@ -100,7 +78,7 @@ class CycleLedger {
 
   /// Cycles only — a scope was paused by a nested one (exclusive-time
   /// accounting): the segment's cycles land now, the visit at scope exit.
-  void charge_partial(CostCenter c, u64 cycles) {
+  void charge_partial(Stage c, u64 cycles) {
     cycles_[static_cast<std::size_t>(c)].fetch_add(cycles,
                                                    std::memory_order_relaxed);
   }
@@ -154,7 +132,7 @@ extern constinit thread_local CostScope* g_scope_top;
 /// TLS word stores + one relaxed load.
 class CostScope {
  public:
-  explicit CostScope(CostCenter c) : prev_(internal::g_cost_center), c_(c) {
+  explicit CostScope(Stage c) : prev_(internal::g_cost_center), c_(c) {
     internal::g_cost_center = static_cast<u32>(c);
     if (cycle_ledger().enabled()) {
       armed_ = true;
@@ -181,7 +159,7 @@ class CostScope {
 
  private:
   u32 prev_;
-  CostCenter c_;
+  Stage c_;
   u64 start_ = 0;
   CostScope* parent_ = nullptr;
   bool armed_ = false;

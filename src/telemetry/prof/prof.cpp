@@ -18,12 +18,11 @@ void append_cycles_json(std::ostringstream& os) {
     if (s.visits[i] == 0) continue;
     if (!first) os << ',';
     first = false;
-    os << '"' << to_string(static_cast<CostCenter>(i))
-       << "\":{\"cycles\":" << s.cycles[i] << ",\"visits\":" << s.visits[i]
-       << '}';
+    const auto c = static_cast<Stage>(i);
+    os << '"' << to_string(c) << "\":{\"cycles\":" << s.cycles[i]
+       << ",\"visits\":" << s.visits[i] << '}';
     // The reactor/idle centers are machine bookkeeping, not per-I/O cost.
-    const auto c = static_cast<CostCenter>(i);
-    if (c != CostCenter::kReactor && c != CostCenter::kIdle) {
+    if (c != Stage::kReactor && c != Stage::kIdle) {
       hot_cycles += s.cycles[i];
     }
   }

@@ -1,39 +1,17 @@
-// Telemetry entry points: process-global registry/recorder singletons and the
-// compile-out gate used by instrumentation sites.
+// Telemetry entry points: the process-global metrics registry and trace
+// recorder.
 //
-// Two independent switches (DESIGN.md §9):
-//   - Compile time: building with -DOAF_TELEMETRY_OFF (CMake option
-//     OAF_TELEMETRY=OFF) removes every OAF_TEL(...) call site from the
-//     binary. The telemetry *types* still compile either way, so tests and
-//     tools that use the API directly keep working.
-//   - Runtime: the TraceRecorder is additionally gated by set_enabled() — a
-//     single relaxed load per record when tracing is off. Counters/gauges
-//     stay live whenever compiled in (a relaxed increment is cheaper than a
-//     branch-plus-increment would save, and the registry is the source of
-//     truth for the target's stats dumps).
+// Instrumentation is always compiled in and always live (DESIGN.md §9.3):
+// counters and gauges record unconditionally (a relaxed increment is cheaper
+// than a branch-plus-increment would save, and the registry is the source of
+// truth for the target's stats dumps), and so does every trace event the
+// flight dump and anomaly capture read. The one runtime switch,
+// tracer().set_enabled(), only adds the per-I/O detail events a Chrome
+// export wants (--trace-out).
 #pragma once
 
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
-
-#if defined(OAF_TELEMETRY_OFF)
-#define OAF_TELEMETRY_COMPILED 0
-#else
-#define OAF_TELEMETRY_COMPILED 1
-#endif
-
-#if OAF_TELEMETRY_COMPILED
-/// Wrap an instrumentation statement so it vanishes when telemetry is
-/// compiled out: OAF_TEL(counter_->inc());
-#define OAF_TEL(expr)   \
-  do {                  \
-    expr;               \
-  } while (0)
-#else
-#define OAF_TEL(expr) \
-  do {                \
-  } while (0)
-#endif
 
 namespace oaf::telemetry {
 
@@ -41,11 +19,11 @@ namespace oaf::telemetry {
 /// (construction time) and cache the returned pointers.
 MetricsRegistry& metrics();
 
-/// Process-global trace recorder (disabled until set_enabled(true)).
+/// The process's one trace ring. Always recording; enabled() gates only the
+/// detail events.
 TraceRecorder& tracer();
 
-/// Null-safe counter bump for cached handles that may be absent when
-/// telemetry is compiled out or a component skipped registration.
+/// Counter bump through a cached handle; a null handle is a no-op.
 inline void bump(Counter* c, u64 n = 1) {
   if (c != nullptr) c->inc(n);
 }

@@ -9,6 +9,13 @@
 // initiator thread and be annotated from anywhere that knows the command's
 // generation tag.
 //
+// The process holds one recorder, tracer() (telemetry.h), and every
+// instrumentation site records into it exactly once. Recording is
+// unconditional; enabled() is the one runtime switch, consulted only by the
+// few per-I/O detail sites (shm stage/consume, zero-copy publish/consume,
+// R2T sent) that a run asks for with --trace-out. The flight dump, anomaly
+// capture and Chrome export are readers of the same ring (DESIGN.md §9.2).
+//
 // Recording is wait-free: one relaxed fetch_add on the ring head, one CAS to
 // claim the slot's sequence word, and the payload copy. Each slot carries a
 // seqlock-style sequence number — odd while a writer owns it, even once the
@@ -95,7 +102,8 @@ class BasicTraceRecorder {
   explicit BasicTraceRecorder(size_t capacity = 1 << 16)
       : ring_(capacity > 0 ? capacity : 1) {}
 
-  /// Runtime toggle. record() is a single relaxed load when disabled.
+  /// Runtime switch for detail events: sites that record only while tracing
+  /// check enabled() first. record() itself ignores it.
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   [[nodiscard]] bool enabled() const {
     return enabled_.load(std::memory_order_relaxed);
@@ -114,7 +122,6 @@ class BasicTraceRecorder {
   }
 
   void record(const TraceEvent& ev) {
-    if (!enabled()) return;
     const u64 idx = head_.fetch_add(1, std::memory_order_relaxed);
     Slot& slot = ring_[idx % ring_.size()];
     // Sequence protocol: the record for ring index i is published when
@@ -187,11 +194,17 @@ class BasicTraceRecorder {
   /// slots that are mid-write or get overwritten during the copy fail the
   /// sequence re-check and are skipped.
   [[nodiscard]] std::vector<TraceEvent> snapshot() const {
+    return snapshot([](const TraceEvent&) { return true; });
+  }
+
+  /// snapshot() restricted to the events `keep` accepts — readers that want
+  /// a small slice of the ring never copy the rest.
+  template <typename Keep>
+  [[nodiscard]] std::vector<TraceEvent> snapshot(const Keep& keep) const {
     const u64 head = head_.load(std::memory_order_acquire);
     const u64 cap = ring_.size();
     const u64 first = head > cap ? head - cap : 0;
     std::vector<TraceEvent> out;
-    out.reserve(head - first);
     for (u64 i = first; i < head; ++i) {
       const Slot& slot = ring_[i % cap];
       const u64 want = 2 * (i + 1);
@@ -199,7 +212,7 @@ class BasicTraceRecorder {
       TraceEvent ev = Policy::torn_read(slot.ev);
       Policy::fence(std::memory_order_acquire);
       if (slot.seq.load(std::memory_order_relaxed) != want) continue;
-      out.push_back(ev);
+      if (keep(ev)) out.push_back(ev);
     }
     return out;
   }
@@ -213,12 +226,20 @@ class BasicTraceRecorder {
   [[nodiscard]] std::string to_chrome_json(
       const std::vector<std::pair<std::string, i64>>& extra_other_data =
           {}) const {
+    return to_chrome_json(snapshot(), extra_other_data);
+  }
+
+  /// The same document over a caller-chosen event list (a filtered
+  /// snapshot), with this recorder's track names and drop count.
+  [[nodiscard]] std::string to_chrome_json(
+      const std::vector<TraceEvent>& events,
+      const std::vector<std::pair<std::string, i64>>& extra_other_data =
+          {}) const {
     std::vector<std::string> tracks;
     {
       typename Policy::lock lk(track_mu_);
       tracks = track_names_;
     }
-    const std::vector<TraceEvent> events = snapshot();
 
     JsonWriter w;
     w.begin_object();

@@ -72,7 +72,6 @@ struct OverwriteVsSnapshotModel {
   Recorder rec{1};  // capacity 1: every record overwrites the same slot
 
   OverwriteVsSnapshotModel() {
-    rec.set_enabled(true);
     rec.record(event_a());  // slot published with A before the race starts
   }
 
@@ -106,8 +105,6 @@ struct WriterRaceModel {
   static constexpr u32 kThreads = 3;
 
   Recorder rec{1};
-
-  WriterRaceModel() { rec.set_enabled(true); }
 
   void thread(u32 t) {
     if (t == 0) {

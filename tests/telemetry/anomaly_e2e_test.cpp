@@ -84,6 +84,8 @@ class AnomalyE2ETest : public ::testing::Test {
     (void)std::system(("rm -rf " + dir_ + " && mkdir -p " + dir_).c_str());
     telemetry::attribution().reset_for_test();
     telemetry::anomaly().reset_for_test();
+    // Captures read the process's one ring; start from this test's events.
+    telemetry::tracer().reset();
   }
   void TearDown() override {
     telemetry::attribution().set_enabled(false);
@@ -128,9 +130,6 @@ class AnomalyE2ETest : public ::testing::Test {
 };
 
 TEST_F(AnomalyE2ETest, BreachCapturesBothHalvesKeyedByTraceId) {
-  if (!OAF_TELEMETRY_COMPILED) {
-    GTEST_SKIP() << "instrumentation compiled out (OAF_TELEMETRY=OFF)";
-  }
   arm_watchdog(/*slo_read_ns=*/1);  // every read breaches
   arm_capture();
   Harness h(af::AfConfig::oaf());
@@ -184,9 +183,6 @@ TEST_F(AnomalyE2ETest, BreachCapturesBothHalvesKeyedByTraceId) {
 }
 
 TEST_F(AnomalyE2ETest, BreachStormStillWritesExactlyOneCapture) {
-  if (!OAF_TELEMETRY_COMPILED) {
-    GTEST_SKIP() << "instrumentation compiled out (OAF_TELEMETRY=OFF)";
-  }
   arm_watchdog(1);
   arm_capture();
   Harness h(af::AfConfig::oaf());
@@ -209,9 +205,6 @@ TEST_F(AnomalyE2ETest, BreachStormStillWritesExactlyOneCapture) {
 }
 
 TEST_F(AnomalyE2ETest, CleanRunWritesNothing) {
-  if (!OAF_TELEMETRY_COMPILED) {
-    GTEST_SKIP() << "instrumentation compiled out (OAF_TELEMETRY=OFF)";
-  }
   arm_watchdog(/*slo_read_ns=*/0);  // no SLO: nothing can breach
   arm_capture();
   Harness h(af::AfConfig::oaf());
@@ -227,9 +220,6 @@ TEST_F(AnomalyE2ETest, CleanRunWritesNothing) {
 }
 
 TEST_F(AnomalyE2ETest, BreachWithoutArmedCaptureWritesNothing) {
-  if (!OAF_TELEMETRY_COMPILED) {
-    GTEST_SKIP() << "instrumentation compiled out (OAF_TELEMETRY=OFF)";
-  }
   arm_watchdog(1);  // breaches fire, but capture was never armed
   Harness h(af::AfConfig::oaf());
   std::vector<u8> out(64 * 1024);
@@ -249,7 +239,7 @@ TEST(AnomalyRecorderTest, ArmedPollsRaceConfigureWithoutTearing) {
   // annotation pass (OAF_GUARDED_BY(mu_)) flagged. armed()/captures() now
   // lock; this drives the exact read-vs-write overlap under TSan and
   // checks the end state is coherent either way.
-  telemetry::AnomalyRecorder rec(64);
+  telemetry::AnomalyRecorder rec;
   std::atomic<bool> done{false};
   std::atomic<u64> armed_seen{0};
   std::vector<std::thread> pollers;

@@ -15,6 +15,7 @@
 
 #include "common/json_parse.h"
 #include "telemetry/anomaly.h"
+#include "telemetry/telemetry.h"
 
 namespace oaf::telemetry {
 namespace {
@@ -259,7 +260,7 @@ TEST_F(AttributionTest, DisabledRecorderNeverBreaches) {
 }
 
 TEST_F(AttributionTest, DetourRecordsIntoTheDetourStage) {
-  attribution().record_detour(OpClass::kWrite, 12345, 10);
+  attribution().record_detour(12345, 10);
   const auto wins = attribution().snapshot_windows(10);
   ASSERT_EQ(wins.size(), 1u);
   const auto& h = wins[0].stages[static_cast<size_t>(Stage::kDetour)];
@@ -283,6 +284,7 @@ class AnomalyTest : public ::testing::Test {
  protected:
   void SetUp() override {
     anomaly().reset_for_test();
+    tracer().reset();  // the recorder reads the process's one ring
     dir_ = ::testing::TempDir() + "anomaly_test";
     std::remove((dir_ + "/oaf_anomaly_0.json").c_str());
     std::remove((dir_ + "/oaf_anomaly_1.json").c_str());
@@ -316,17 +318,16 @@ TEST_F(AnomalyTest, RateLimitGateSpacesClaims) {
 }
 
 TEST_F(AnomalyTest, EventsJsonFiltersByIdAndWindowAndAdjustsTimestamps) {
-  AnomalyRecorder rec(64);
-  const u32 t = rec.track("test");
-  rec.ring().begin(t, "io", "read", /*id=*/42, /*now=*/1000);
-  rec.ring().instant(t, "io", "neighbor", /*id=*/7, /*now=*/1500);
-  rec.ring().end(t, "io", "read", 42, 2000);
-  rec.ring().instant(t, "io", "faraway", /*id=*/8, /*now=*/999'999);
+  const u32 t = tracer().track("test");
+  tracer().begin(t, "io", "read", /*id=*/42, /*now=*/1000);
+  tracer().instant(t, "io", "neighbor", /*id=*/7, /*now=*/1500);
+  tracer().end(t, "io", "read", 42, 2000);
+  tracer().instant(t, "io", "faraway", /*id=*/8, /*now=*/999'999);
 
   // id 42 matches outside the window; neighbor falls inside it; faraway is
   // neither and must be excluded. ts_adjust shifts everything by +10.
-  const std::string json = rec.events_json(/*trace_id=*/42, /*from=*/1400,
-                                           /*to=*/1600, /*ts_adjust=*/10, 64);
+  const std::string json = anomaly().events_json(
+      /*trace_id=*/42, /*from=*/1400, /*to=*/1600, /*ts_adjust=*/10, 64);
   auto doc = json_parse(json);
   ASSERT_TRUE(doc) << doc.status().to_string();
   const auto& arr = doc.value();
@@ -339,9 +340,9 @@ TEST_F(AnomalyTest, EventsJsonFiltersByIdAndWindowAndAdjustsTimestamps) {
 
 TEST_F(AnomalyTest, CaptureWritesBothHalvesAndTheLedger) {
   arm();
-  const u32 t = anomaly().track("capture-test");
-  anomaly().ring().begin(t, "io", "read", /*id=*/77, /*now=*/5000);
-  anomaly().ring().end(t, "io", "read", 77, 9000);
+  const u32 t = tracer().track("capture-test");
+  tracer().begin(t, "io", "read", /*id=*/77, /*now=*/5000);
+  tracer().end(t, "io", "read", 77, 9000);
 
   const i64 idx = anomaly().begin_capture(10'000);
   ASSERT_EQ(idx, 0);

@@ -1,14 +1,18 @@
 // End-to-end trace: a co-located write/read through the real initiator +
 // target engines under the sim clock lands initiator-side AND target-side
 // spans on one timeline, detours (shm demotion, abort) show up as resilience
-// events, and the exported Chrome JSON is deterministic run-to-run.
+// events, and the exported Chrome JSON is deterministic run-to-run. With
+// tracing off the always-on events still land, each exactly once.
 //
 // These tests use the process-global tracer the way production does; each
-// test resets it, enables recording, and disables it on the way out.
+// test resets it, enables the detail events, and disables them on the way
+// out.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -68,9 +72,6 @@ std::set<std::pair<std::string, std::string>> distinct_spans(
 class E2ETraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!OAF_TELEMETRY_COMPILED) {
-      GTEST_SKIP() << "instrumentation compiled out (OAF_TELEMETRY=OFF)";
-    }
     telemetry::tracer().reset();
     telemetry::tracer().set_enabled(true);
   }
@@ -123,6 +124,69 @@ TEST_F(E2ETraceTest, CoLocatedWriteSpansBothSidesOfTheTimeline) {
     }
     EXPECT_TRUE(matched) << "unmatched begin: " << ev.cat << "/" << ev.name;
   }
+}
+
+// The ring is always on: with the tracer disabled every always-on event of
+// a write and a read lands exactly once (no site records twice), and the
+// shm detail events appear only once tracing is enabled.
+TEST_F(E2ETraceTest, AlwaysOnEventsLandOnceAndDetailWaitsForTracing) {
+  telemetry::tracer().set_enabled(false);
+  TraceHarness h(af::AfConfig::oaf());
+  std::vector<u8> data(64 * 1024, 0x77);
+  std::vector<u8> out(data.size());
+  int done = 0;
+  h.initiator->write(1, 0, data, [&](auto r) { done += r.ok() ? 1 : 0; });
+  h.sched.run();
+  h.initiator->read(1, 0, out, [&](auto r) { done += r.ok() ? 1 : 0; });
+  h.sched.run();
+  ASSERT_EQ(done, 2);
+
+  const auto evs = telemetry::tracer().snapshot();
+  std::set<std::tuple<std::string, std::string, u64, char, TimeNs>> seen;
+  // (cat, id) -> "name/phase" -> count, per I/O attempt.
+  std::map<std::pair<std::string, u64>, std::map<std::string, int>> per_io;
+  for (const auto& ev : evs) {
+    const std::string cat = ev.cat;
+    const std::string name = ev.name;
+    EXPECT_TRUE(seen.emplace(cat, name, ev.id, ev.phase, ev.ts_ns).second)
+        << "recorded twice: " << cat << "/" << name;
+    EXPECT_NE(cat, "shm") << "detail event with tracing off: " << name;
+    if (cat == "init_io" || cat == "target_io") {
+      // One capsule instant per attempt, whichever flow it announced.
+      const std::string key = name.rfind("capsule_sent", 0) == 0
+                                  ? std::string("capsule_sent")
+                                  : name;
+      per_io[{cat, ev.id}][key + "/" + ev.phase]++;
+    }
+  }
+  const std::map<std::string, int> client_write = {
+      {"write/b", 1}, {"capsule_sent/i", 1}, {"write/e", 1}};
+  const std::map<std::string, int> client_read = {
+      {"read/b", 1}, {"capsule_sent/i", 1}, {"read/e", 1}};
+  const std::map<std::string, int> target_write = {
+      {"write/b", 1}, {"device/b", 1}, {"device/e", 1}, {"write/e", 1}};
+  const std::map<std::string, int> target_read = {
+      {"read/b", 1}, {"device/b", 1}, {"device/e", 1}, {"read/e", 1}};
+  int clients = 0;
+  int targets = 0;
+  for (const auto& [key, got] : per_io) {
+    const bool client = key.first == "init_io";
+    (client ? clients : targets)++;
+    const bool write = got.count("write/b") != 0;
+    EXPECT_EQ(got, client ? (write ? client_write : client_read)
+                          : (write ? target_write : target_read))
+        << key.first << " id " << key.second;
+  }
+  EXPECT_EQ(clients, 2);
+  EXPECT_EQ(targets, 2);
+
+  telemetry::tracer().set_enabled(true);
+  h.initiator->write(1, 0, data, [&](auto r) { done += r.ok() ? 1 : 0; });
+  h.sched.run();
+  ASSERT_EQ(done, 3);
+  const auto spans = distinct_spans(telemetry::tracer().snapshot());
+  EXPECT_TRUE(spans.count({"shm", "shm_stage"}));
+  EXPECT_TRUE(spans.count({"shm", "shm_consume"}));
 }
 
 TEST_F(E2ETraceTest, ShmDemotionDetourAppearsAsResilienceEvents) {

@@ -158,26 +158,27 @@ TEST(SampleRing, DropsWhenFullAndCounts) {
 // Cost centers and cycle accounting.
 // --------------------------------------------------------------------------
 
+// Cost centers are telemetry::Stage values: one enum, one name table.
 TEST(CostCenter, MirrorsStageValuesAndNames) {
-  EXPECT_STREQ(to_string(CostCenter::kQueue), "queue");
-  EXPECT_STREQ(to_string(CostCenter::kSubmit), "submit");
+  EXPECT_STREQ(to_string(Stage::kQueue), "queue");
+  EXPECT_STREQ(to_string(Stage::kSubmit), "submit");
   EXPECT_STREQ(to_string(clamp_cost_center(255)), "other");
-  EXPECT_EQ(clamp_cost_center(3), CostCenter::kXfer);
+  EXPECT_EQ(clamp_cost_center(3), Stage::kXfer);
 }
 
 TEST(CostScope, RestoresPreviousCenterOnExit) {
-  set_cost_center(CostCenter::kControl);
+  set_cost_center(Stage::kControl);
   {
-    CostScope outer(CostCenter::kSubmit);
-    EXPECT_EQ(current_cost_center(), CostCenter::kSubmit);
+    CostScope outer(Stage::kSubmit);
+    EXPECT_EQ(current_cost_center(), Stage::kSubmit);
     {
-      CostScope inner(CostCenter::kEncode);
-      EXPECT_EQ(current_cost_center(), CostCenter::kEncode);
+      CostScope inner(Stage::kEncode);
+      EXPECT_EQ(current_cost_center(), Stage::kEncode);
     }
-    EXPECT_EQ(current_cost_center(), CostCenter::kSubmit);
+    EXPECT_EQ(current_cost_center(), Stage::kSubmit);
   }
-  EXPECT_EQ(current_cost_center(), CostCenter::kControl);
-  set_cost_center(CostCenter::kOther);
+  EXPECT_EQ(current_cost_center(), Stage::kControl);
+  set_cost_center(Stage::kOther);
 }
 
 TEST(CostScope, ExclusiveAccountingChargesEachCenterOnce) {
@@ -186,8 +187,8 @@ TEST(CostScope, ExclusiveAccountingChargesEachCenterOnce) {
   cycle_ledger().set_enabled(true);
   const u64 t0 = rdcycles();
   {
-    CostScope outer(CostCenter::kSubmit);
-    CostScope inner(CostCenter::kEncode);
+    CostScope outer(Stage::kSubmit);
+    CostScope inner(Stage::kEncode);
     // Burn a few cycles so both segments are nonzero.
     volatile u64 x = 0;
     for (int i = 0; i < 1000; ++i) x += static_cast<u64>(i);
@@ -195,10 +196,10 @@ TEST(CostScope, ExclusiveAccountingChargesEachCenterOnce) {
   const u64 wall = rdcycles() - t0;
   cycle_ledger().set_enabled(false);
   const auto s = cycle_ledger().snapshot();
-  const u64 submit = s.cycles[static_cast<u32>(CostCenter::kSubmit)];
-  const u64 encode = s.cycles[static_cast<u32>(CostCenter::kEncode)];
-  EXPECT_EQ(s.visits[static_cast<u32>(CostCenter::kSubmit)], 1u);
-  EXPECT_EQ(s.visits[static_cast<u32>(CostCenter::kEncode)], 1u);
+  const u64 submit = s.cycles[static_cast<u32>(Stage::kSubmit)];
+  const u64 encode = s.cycles[static_cast<u32>(Stage::kEncode)];
+  EXPECT_EQ(s.visits[static_cast<u32>(Stage::kSubmit)], 1u);
+  EXPECT_EQ(s.visits[static_cast<u32>(Stage::kEncode)], 1u);
   EXPECT_GT(encode, 0u);
   // Exclusive accounting: the centers partition the scoped wall time, so
   // their sum cannot exceed what the wall clock saw (same TSC).
@@ -225,13 +226,13 @@ TEST(CycleLedger, AddIoOnlyCountsWhenEnabled) {
 
 TEST(AllocLedger, AttributesToCurrentCostCenter) {
   alloc_ledger().reset_for_test();
-  set_cost_center(CostCenter::kSubmit);
+  set_cost_center(Stage::kSubmit);
   alloc_ledger().record_alloc(64);
   alloc_ledger().record_alloc(32);
   alloc_ledger().record_free();
-  set_cost_center(CostCenter::kOther);
+  set_cost_center(Stage::kOther);
   const auto s = alloc_ledger().snapshot();
-  const auto& submit = s.center[static_cast<u32>(CostCenter::kSubmit)];
+  const auto& submit = s.center[static_cast<u32>(Stage::kSubmit)];
   EXPECT_EQ(submit.allocs, 2u);
   EXPECT_EQ(submit.frees, 1u);
   EXPECT_EQ(submit.bytes, 96u);
@@ -241,22 +242,22 @@ TEST(AllocLedger, AttributesToCurrentCostCenter) {
 
 TEST(AllocLedger, CostCenterIsPerThread) {
   alloc_ledger().reset_for_test();
-  set_cost_center(CostCenter::kSubmit);
+  set_cost_center(Stage::kSubmit);
   std::thread other([] {
     // Fresh thread: token defaults to kOther, independent of ours.
-    EXPECT_EQ(current_cost_center(), CostCenter::kOther);
-    set_cost_center(CostCenter::kTarget);
+    EXPECT_EQ(current_cost_center(), Stage::kOther);
+    set_cost_center(Stage::kTarget);
     alloc_ledger().record_alloc(100);
   });
   other.join();
   alloc_ledger().record_alloc(1);
-  set_cost_center(CostCenter::kOther);
+  set_cost_center(Stage::kOther);
   // With the interposer linked, ambient allocations (thread spawn, gtest
   // internals) also land in the ledger under whatever center was current,
   // so assert lower bounds; without it the manual records are exact.
   const auto s = alloc_ledger().snapshot();
-  const auto& target = s.center[static_cast<u32>(CostCenter::kTarget)];
-  const auto& submit = s.center[static_cast<u32>(CostCenter::kSubmit)];
+  const auto& target = s.center[static_cast<u32>(Stage::kTarget)];
+  const auto& submit = s.center[static_cast<u32>(Stage::kSubmit)];
   if (interposer_active()) {
     EXPECT_GE(target.allocs, 1u);
     EXPECT_GE(target.bytes, 100u);
@@ -274,7 +275,7 @@ TEST(AllocLedger, InterposerCountsRealAllocations) {
     GTEST_SKIP() << "interposer not linked (build with -DOAF_PROF=ON)";
   }
   alloc_ledger().reset_for_test();
-  set_cost_center(CostCenter::kXfer);
+  set_cost_center(Stage::kXfer);
   {
     std::vector<char> v(4096);
     v[0] = 1;
@@ -282,9 +283,9 @@ TEST(AllocLedger, InterposerCountsRealAllocations) {
     ASSERT_NE(raw, nullptr);
     std::free(raw);
   }
-  set_cost_center(CostCenter::kOther);
+  set_cost_center(Stage::kOther);
   const auto s = alloc_ledger().snapshot();
-  const auto& xfer = s.center[static_cast<u32>(CostCenter::kXfer)];
+  const auto& xfer = s.center[static_cast<u32>(Stage::kXfer)];
   EXPECT_GE(xfer.allocs, 2u);
   EXPECT_GE(xfer.bytes, 4096u + 128u);
   EXPECT_GE(xfer.frees, 2u);
@@ -353,9 +354,9 @@ TEST(CpuProfiler, SamplesBusyThreadAndEmitsCollapsedStacks) {
   opts.sample_hz = 499;
   const Status st = prof.start(opts);
   if (!st.is_ok()) GTEST_SKIP() << "cannot arm timers: " << st.to_string();
-  set_cost_center(CostCenter::kSubmit);
+  set_cost_center(Stage::kSubmit);
   burn_cpu_ms(300);
-  set_cost_center(CostCenter::kOther);
+  set_cost_center(Stage::kOther);
   prof.stop();
   EXPECT_FALSE(prof.running());
   EXPECT_GE(prof.samples_total(), 5u) << prof.stats_json();

@@ -27,14 +27,12 @@ namespace {
 // spans with, and 250 is the clock offset oaf_perf embeds in otherData.
 std::pair<std::string, std::string> make_inputs() {
   TraceRecorder init(64);
-  init.set_enabled(true);
   const u32 lane = init.track("init:conn0");
   init.begin(lane, "init_io", "write", 0x10, 1000, "bytes", 4096);
   init.instant(lane, "init_io", "r2t_received", 0x10, 2000);
   init.end(lane, "init_io", "write", 0x10, 5000);
 
   TraceRecorder target(64);
-  target.set_enabled(true);
   const u32 tlane = target.track("target:conn0");
   target.begin(tlane, "target_io", "write", 0x10, 1400);
   target.complete(tlane, "target_io", "device", 0x10, 1600, 2600, "bytes",
@@ -126,10 +124,8 @@ TEST(TraceMergeTest, MissingOffsetDefaultsToZeroShift) {
   // An initiator document without clock_offset_ns (e.g. trace_ctx refused by
   // an old peer): target events merge unshifted rather than failing.
   TraceRecorder init(8);
-  init.set_enabled(true);
   init.instant(init.track("init:conn0"), "init_io", "submit", 1, 500);
   TraceRecorder target(8);
-  target.set_enabled(true);
   target.instant(target.track("target:conn0"), "target_io", "served", 1, 900);
   auto merged = merge_chrome_traces(init.to_chrome_json(),
                                     target.to_chrome_json());

@@ -1,4 +1,4 @@
-// TraceRecorder: runtime gating, span lifecycle phases, bounded-ring
+// TraceRecorder: unconditional recording, span lifecycle phases, bounded-ring
 // overflow (drops oldest, counts drops), and byte-exact Chrome trace JSON.
 #include <gtest/gtest.h>
 
@@ -11,22 +11,21 @@
 namespace oaf::telemetry {
 namespace {
 
-TEST(TraceRecorderTest, DisabledByDefaultRecordsNothing) {
+// enabled() is a hint for detail-event call sites; the ring itself records
+// every event either way, so the always-on events survive tracing off.
+TEST(TraceRecorderTest, DisabledByDefaultStillRecords) {
   TraceRecorder rec(16);
   EXPECT_FALSE(rec.enabled());
   rec.instant(0, "cat", "ev", 0, 100);
-  EXPECT_EQ(rec.size(), 0u);
+  EXPECT_EQ(rec.size(), 1u);
   rec.set_enabled(true);
-  rec.instant(0, "cat", "ev", 0, 100);
-  EXPECT_EQ(rec.size(), 1u);
-  rec.set_enabled(false);
+  EXPECT_TRUE(rec.enabled());
   rec.instant(0, "cat", "ev", 0, 200);
-  EXPECT_EQ(rec.size(), 1u);
+  EXPECT_EQ(rec.size(), 2u);
 }
 
 TEST(TraceRecorderTest, SpanLifecyclePhasesRoundTrip) {
   TraceRecorder rec(16);
-  rec.set_enabled(true);
   const u32 lane = rec.track("lane");
   rec.begin(lane, "io", "write", 42, 1000, "bytes", 4096);
   rec.complete(lane, "shm", "stage", 3, 1200, 500, "bytes", 512);
@@ -52,7 +51,6 @@ TEST(TraceRecorderTest, SpanLifecyclePhasesRoundTrip) {
 
 TEST(TraceRecorderTest, RingOverflowDropsOldestAndCounts) {
   TraceRecorder rec(4);
-  rec.set_enabled(true);
   for (u64 i = 0; i < 10; ++i) {
     rec.instant(0, "cat", "ev", i, static_cast<TimeNs>(i * 100));
   }
@@ -78,7 +76,6 @@ TEST(TraceRecorderTest, TrackIsFindOrCreate) {
 
 TEST(TraceRecorderTest, ResetClearsEventsButKeepsTracks) {
   TraceRecorder rec(4);
-  rec.set_enabled(true);
   const u32 lane = rec.track("lane");
   for (u64 i = 0; i < 6; ++i) rec.instant(lane, "c", "e", i, 0);
   rec.reset();
@@ -92,7 +89,6 @@ TEST(TraceRecorderTest, ResetClearsEventsButKeepsTracks) {
 // deliberately.
 TEST(TraceRecorderTest, ChromeJsonMatchesGolden) {
   TraceRecorder rec(8);
-  rec.set_enabled(true);
   const u32 lane = rec.track("lane");
   ASSERT_EQ(lane, 1u);
   rec.begin(lane, "io", "write", 7, 1500, "bytes", 4096);
@@ -119,7 +115,6 @@ TEST(TraceRecorderTest, ChromeJsonMatchesGolden) {
 
 TEST(TraceRecorderTest, WriteChromeJsonRoundTrips) {
   TraceRecorder rec(8);
-  rec.set_enabled(true);
   rec.instant(rec.track("lane"), "c", "e", 1, 100);
   const std::string path = testing::TempDir() + "oaf_trace_test.json";
   ASSERT_TRUE(rec.write_chrome_json(path));

@@ -10,9 +10,9 @@
 //
 // Observability: --json replaces the tables with one machine-readable
 // RunStats object on stdout (human banners go to stderr); --trace-out=FILE
-// records per-I/O spans and writes a Chrome trace_event JSON for
-// chrome://tracing or https://ui.perfetto.dev; --metrics-json=FILE dumps the
-// process metrics registry.
+// adds the per-I/O detail events to the always-on trace ring and writes it as
+// Chrome trace_event JSON for chrome://tracing or https://ui.perfetto.dev;
+// --metrics-json=FILE dumps the process metrics registry.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -67,7 +67,7 @@ struct Options {
   u64 kill_after_ms = 500;     // when the kill fires, relative to run start
   // observability
   bool json = false;           // one RunStats JSON object on stdout
-  std::string trace_out;       // Chrome trace_event JSON path; "" = no tracing
+  std::string trace_out;       // Chrome trace JSON path; "" = no detail events
   std::string metrics_json;    // metrics registry JSON path; "" = none
   int stat_port = -1;          // live introspection endpoint; -1 off, 0 = ephemeral
   std::string flight_dir;      // arm the flight recorder into DIR; "" = off

@@ -49,7 +49,7 @@ struct Options {
   u64 orphan_sweep_ms = 0;  // stuck window for no-KATO assocs; 0 = no sweep
   u64 stats_interval_ms = 0;  // periodic metrics dump to stderr; 0 = off
   int stat_port = -1;         // live introspection endpoint; -1 off, 0 = ephemeral
-  std::string trace_out;      // Chrome trace_event JSON path; "" = no tracing
+  std::string trace_out;      // Chrome trace JSON path; "" = no detail events
   std::string flight_dir;     // arm the flight recorder into DIR; "" = off
   // Overload protection (DESIGN.md §12); all off by default.
   u64 max_conns = 0;          // connect-time admission cap; 0 = unlimited

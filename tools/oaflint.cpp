@@ -6,8 +6,8 @@
 //   pdu-contract        every PduType opcode in src/pdu/pdu.h has a fixed-
 //                       size entry in src/pdu/wire_contract.h and a codec
 //                       round-trip test in tests/pdu/codec_test.cpp.
-//   tel-span-pairing    every tracer()/anomaly-ring .begin( span with a
-//                       literal (category, name) has a matching .end(
+//   tel-span-pairing    every tracer() .begin( span with a literal
+//                       (category, name) has a matching .end(
 //                       somewhere in src/ — and vice versa. Spans whose
 //                       name is computed (e.g. op_span_name(...)) pair as
 //                       wildcards within their category.
@@ -371,26 +371,13 @@ void scan_spans(const fs::path& file, const std::string& raw,
   for (const char* kind : {".begin(", ".end("}) {
     for (size_t pos = code.find(kind); pos != std::string::npos;
          pos = code.find(kind, pos + 1)) {
-      // Only tracer()/ring() span calls — anchor on the receiver.
-      const size_t ls = code.rfind('\n', pos);
-      const std::string before =
-          code.substr(ls == std::string::npos ? 0 : ls, pos - ls);
+      // Only tracer() span calls — anchor on the receiver.
       const size_t ctx_from = pos > 200 ? pos - 200 : 0;
       const std::string ctx = code.substr(ctx_from, pos - ctx_from);
-      if (ctx.rfind("tracer()") == std::string::npos &&
-          ctx.rfind(".ring()") == std::string::npos) {
-        continue;
-      }
-      const size_t anchor = std::max(ctx.rfind("tracer()") ==
-                                             std::string::npos
-                                         ? 0
-                                         : ctx.rfind("tracer()"),
-                                     ctx.rfind(".ring()") == std::string::npos
-                                         ? 0
-                                         : ctx.rfind(".ring()"));
+      const size_t anchor = ctx.rfind("tracer()");
+      if (anchor == std::string::npos) continue;
       // The receiver must be adjacent (allowing whitespace) to this call.
-      const std::string between = ctx.substr(anchor);
-      if (between.find(';') != std::string::npos) continue;
+      if (ctx.find(';', anchor) != std::string::npos) continue;
       SpanSite site;
       site.file = file;
       site.line = line_of(code, pos);
