@@ -151,27 +151,9 @@ void NvmfInitiator::on_pdu(Pdu pdu) {
     case pdu::PduType::kC2HData:
       on_c2h(std::move(pdu));
       break;
-    case pdu::PduType::kCapsuleResp: {
-      const auto& resp = *pdu.as<pdu::CapsuleResp>();
-      if (resp.cpl.cid < inflight_.size() && slot_busy_[resp.cpl.cid]) {
-        Pending& p = inflight_[resp.cpl.cid];
-        if (p.cmd.opcode == NvmeOpcode::kIdentify && p.identify_cb &&
-            !stale(resp.gen, p)) {
-          // Identify carries (block_size, num_blocks) in the payload.
-          if (pdu.payload.size() >= 12 && resp.cpl.ok()) {
-            u32 bs = 0;
-            u64 nb = 0;
-            for (int i = 0; i < 4; ++i) bs |= static_cast<u32>(pdu.payload[i]) << (8 * i);
-            for (int i = 0; i < 8; ++i) {
-              nb |= static_cast<u64>(pdu.payload[4 + i]) << (8 * i);
-            }
-            p.identify_result = {bs, nb};
-          }
-        }
-      }
-      on_resp(resp);
+    case pdu::PduType::kCapsuleResp:
+      on_resp(std::move(pdu));
       break;
-    }
     case pdu::PduType::kKeepAlive: {
       // Controller echo; the blanket ka_outstanding_ reset above already
       // recorded the liveness proof. The echo doubles as a clock-offset
@@ -331,30 +313,46 @@ void NvmfInitiator::on_icresp(const pdu::ICResp& resp) {
 // Recovery
 // --------------------------------------------------------------------------
 
-bool NvmfInitiator::retryable(const Pending& p) const {
+bool NvmfInitiator::replayable(const Pending& p) const {
   // Zero-copy commands are bound to slot contents that do not survive a
   // reconnect (the region is renegotiated), and view callbacks may already
   // have leaked a borrowed span. Staged reads, un-acked staged writes,
   // flush, and identify all replay safely: the API contract keeps wdata
   // alive until the completion callback fires.
-  return !p.zero_copy && !p.view_cb;
+  return !dead_ && !p.zero_copy && !p.view_cb &&
+         p.attempts < opts_.reconnect.max_command_retries;
+}
+
+void NvmfInitiator::end_attempt(Pending& p) {
+  trace_end_span(p);
+  p.ledger.enter(telemetry::Stage::kDetour, exec_.now());
+  p.attempts++;
+  p.bytes_received = 0;
+}
+
+void NvmfInitiator::deliver(Pending& p, const IoResult& res, const char* why,
+                            Result<ReadView>* view) {
+  if (p.identify_cb) {
+    if (res.cpl.ok() && p.identify_result.first != 0) {
+      std::move(p.identify_cb)(p.identify_result);
+    } else {
+      std::move(p.identify_cb)(make_error(StatusCode::kUnavailable, why));
+    }
+  } else if (p.view_cb) {
+    std::move(p.view_cb)(view != nullptr ? std::move(*view)
+                                         : Result<ReadView>(make_error(
+                                               StatusCode::kUnavailable, why)),
+                         res);
+  } else if (p.cb) {
+    std::move(p.cb)(res);
+  }
 }
 
 void NvmfInitiator::fail_pending(Pending& p) {
   if (p.generation != 0) trace_end_span(p);
   IoResult res;
   res.cpl.status = pdu::NvmeStatus::kDataTransferError;
-  if (p.cb) std::move(p.cb)(res);
-  if (p.view_cb) {
-    std::move(p.view_cb)(
-        Result<ReadView>(
-            make_error(StatusCode::kUnavailable, "connection aborted")),
-        res);
-  }
-  if (p.identify_cb) {
-    std::move(p.identify_cb)(
-        make_error(StatusCode::kUnavailable, "connection aborted"));
-  }
+  deliver(p, res, "connection aborted", nullptr);
 }
 
 void NvmfInitiator::recover(const char* reason) {
@@ -384,16 +382,9 @@ void NvmfInitiator::recover(const char* reason) {
   for (u16 cid = 0; cid < inflight_.size(); ++cid) {
     if (!slot_busy_[cid]) continue;
     Pending p = std::move(inflight_[cid]);
-    slot_busy_[cid] = false;
-    if (inflight_count_ > 0) inflight_count_--;
-    inflight_[cid] = Pending{};
-    if (retryable(p) && p.attempts < opts_.reconnect.max_command_retries) {
-      // The attempt's span ends here; the replay begins a fresh one.
-      trace_end_span(p);
-      p.attempts++;
-      p.bytes_received = 0;
-      // From here until the replay resubmits, the I/O is parked off-path.
-      p.ledger.enter(telemetry::Stage::kDetour, exec_.now());
+    release_cid(cid);  // drains nothing: reconnecting_ holds the queue
+    if (replayable(p)) {
+      end_attempt(p);
       replay_.push_back(std::move(p));
     } else {
       fail_pending(p);
@@ -555,8 +546,7 @@ void NvmfInitiator::on_deadline(u16 cid, u64 generation) {
     on_abort_timeout(cid);
     return;
   }
-  if (cid >= inflight_.size() || !slot_busy_[cid]) return;
-  if (inflight_[cid].generation != generation) return;
+  if (!holds(cid, generation)) return;
   counters_.deadlines_expired++;
   telemetry::bump(tel_.deadlines);
   telemetry::tracer().instant(tel_.track, "resilience", "deadline_expired",
@@ -614,11 +604,8 @@ void NvmfInitiator::on_abort_timeout(u16 abort_cid) {
                              opts_.escalation.demote_after_failed_aborts) {
     demote_shm("aborts timing out while shm active");
   }
-  const bool victim_live = a.victim_cid < inflight_.size() &&
-                           slot_busy_[a.victim_cid] &&
-                           inflight_[a.victim_cid].generation ==
-                               a.victim_generation;
-  if (!victim_live) return;  // the victim resolved itself meanwhile
+  // The victim may have resolved itself meanwhile.
+  if (!holds(a.victim_cid, a.victim_generation)) return;
   if (inflight_[a.victim_cid].abort_attempts < opts_.escalation.abort_budget) {
     send_abort(a.victim_cid);
     return;
@@ -634,25 +621,19 @@ void NvmfInitiator::on_abort_resp(u16 abort_cid, const pdu::CapsuleResp& resp) {
   consecutive_abort_failures_ = 0;
   counters_.aborts_succeeded++;
   telemetry::bump(tel_.aborts_ok);
-  const bool victim_live = a.victim_cid < inflight_.size() &&
-                           slot_busy_[a.victim_cid] &&
-                           inflight_[a.victim_cid].generation ==
-                               a.victim_generation;
   // The target sends the victim's (aborted) completion before the abort
   // response, so normally the victim is already closed here.
-  if (!victim_live) return;
-  if (resp.cpl.result != 0) {
-    // result 1: the target has no record of the victim — the capsule (or
-    // its completion) was lost on the wire. Replay in place.
-    complete(a.victim_cid,
-             {a.victim_cid, pdu::NvmeStatus::kTransientTransportError, 0}, 0,
-             0);
-  } else {
-    // result 0 but the victim's own completion never arrived: close it as
-    // aborted now rather than waiting for a PDU that is not coming.
-    complete(a.victim_cid,
-             {a.victim_cid, pdu::NvmeStatus::kAbortedByRequest, 0}, 0, 0);
-  }
+  if (!holds(a.victim_cid, a.victim_generation)) return;
+  // result 1: the target has no record of the victim — the capsule (or its
+  // completion) was lost on the wire, so replay in place. result 0 but the
+  // victim's own completion never arrived: close it as aborted now rather
+  // than waiting for a PDU that is not coming.
+  complete(a.victim_cid,
+           {a.victim_cid,
+            resp.cpl.result != 0 ? pdu::NvmeStatus::kTransientTransportError
+                                 : pdu::NvmeStatus::kAbortedByRequest,
+            0},
+           0, 0);
 }
 
 void NvmfInitiator::note_shm_consume_failure(const Status& st) {
@@ -696,15 +677,12 @@ void NvmfInitiator::abort_connection(const char* reason) {
     if (!slot_busy_[cid]) continue;
     complete(cid, {cid, pdu::NvmeStatus::kDataTransferError, 0}, 0, 0);
   }
-  while (!replay_.empty()) {
-    Pending p = std::move(replay_.front());
-    replay_.pop_front();
-    fail_pending(p);
-  }
-  while (!waiting_.empty()) {
-    Pending p = std::move(waiting_.front());
-    waiting_.pop_front();
-    fail_pending(p);
+  for (auto* queue : {&replay_, &waiting_}) {
+    while (!queue->empty()) {
+      Pending p = std::move(queue->front());
+      queue->pop_front();
+      fail_pending(p);
+    }
   }
   if (connect_cb_) {
     // A first connect that entered the recovery ladder (e.g. an admission
@@ -885,6 +863,12 @@ void NvmfInitiator::on_r2t(const pdu::R2T& r2t) {
     OAF_WARN_RL("stale R2T for cid %u (gen %u != %u)", cid, r2t.gen, p.gen);
     return;
   }
+  // The grant must lie inside this command's own source buffer: a zero-copy
+  // write or a read has none, so any R2T for them fails here too.
+  if (!pdu::range_fits(r2t.offset, r2t.length, p.wdata.size())) {
+    complete(cid, {cid, pdu::NvmeStatus::kDataTransferError, 0}, 0, 0);
+    return;
+  }
   // Grant arrived; the data-transfer phase starts.
   p.ledger.enter(telemetry::Stage::kXfer, exec_.now());
   telemetry::tracer().instant(tel_.track, "init_io", "r2t", p.generation,
@@ -931,9 +915,9 @@ void NvmfInitiator::shm_write_chunk(u16 cid, u16 ttag, u64 offset, u64 end) {
   const bool last = offset + chunk >= end;
   ep_.stage_payload_when_free(
       cid, p.wdata.subspan(offset, chunk),
-      [this, cid, ttag, offset, chunk, last, end, gen = p.gen] {
-        if (cid >= inflight_.size() || !slot_busy_[cid]) return;
-        if (inflight_[cid].gen != gen) return;  // replaced by a replay
+      [this, cid, ttag, offset, chunk, last, end, generation = p.generation,
+       gen = p.gen] {
+        if (!holds(cid, generation)) return;  // ended, or replaced by a replay
         pdu::H2CData h2c;
         h2c.cid = cid;
         h2c.ttag = ttag;
@@ -950,9 +934,8 @@ void NvmfInitiator::shm_write_chunk(u16 cid, u16 ttag, u64 offset, u64 end) {
       },
       // An aborted (or replayed) command must not park a stray payload in a
       // slot a successor will reuse — the poll re-checks before every stage.
-      [this, alive = alive_, cid, gen = p.gen] {
-        return !*alive || cid >= inflight_.size() || !slot_busy_[cid] ||
-               inflight_[cid].gen != gen;
+      [this, alive = alive_, cid, generation = p.generation] {
+        return !*alive || !holds(cid, generation);
       });
 }
 
@@ -976,59 +959,42 @@ void NvmfInitiator::on_c2h(Pdu pdu) {
   // First data closes the kGrant wait; later chunks just keep kXfer open.
   p.ledger.enter(telemetry::Stage::kXfer, exec_.now());
 
+  if (c2h.placement == DataPlacement::kShmSlot && p.zero_copy && p.view_cb) {
+    // Zero-copy read: hand the application a view of the slot; the slot
+    // (and the cid) are reclaimed when the application releases it.
+    auto data = ep_.consume_view(c2h.shm_slot);
+    if (!data) note_shm_consume_failure(data.status());
+    Result<ReadView> view =
+        data ? Result<ReadView>(ReadView{data.value(),
+                                         [this, cid, slot = c2h.shm_slot] {
+                                           (void)ep_.release_slot(slot);
+                                           release_cid(cid);
+                                         }})
+             : Result<ReadView>(data.status());
+    complete(cid,
+             {cid,
+              data ? pdu::NvmeStatus::kSuccess
+                   : pdu::NvmeStatus::kDataTransferError,
+              0},
+             c2h.io_time_ns, c2h.target_time_ns, &view);
+    return;
+  }
+  // A staged chunk lands in the application buffer at its offset.
+  if (!pdu::range_fits(c2h.offset, c2h.length, p.rdata.size())) {
+    complete(cid, {cid, pdu::NvmeStatus::kDataTransferError, 0}, 0, 0);
+    return;
+  }
   if (c2h.placement == DataPlacement::kShmSlot) {
-    if (p.zero_copy && p.view_cb) {
-      // Zero-copy read: hand the application a view of the slot; the slot
-      // (and the cid) are reclaimed when the application releases it.
-      auto view = ep_.consume_view(c2h.shm_slot);
-      IoResult res;
-      res.cpl = {cid, pdu::NvmeStatus::kSuccess, 0};
-      res.total_ns = exec_.now() - p.submit_time;
-      res.io_time_ns = c2h.io_time_ns;
-      res.target_time_ns = c2h.target_time_ns;
-      auto cb = std::move(p.view_cb);
-      trace_end_span(p);
-      if (!view) {
-        note_shm_consume_failure(view.status());
-        release_cid(cid);
-        std::move(cb)(view.status(), res);
-        return;
-      }
-      ReadView rv;
-      rv.data = view.value();
-      rv.release = [this, cid, slot = c2h.shm_slot] {
-        (void)ep_.release_slot(slot);
-        release_cid(cid);
-      };
-      ios_completed_++;
-      telemetry::bump(tel_.ios);
-      tel_.latency->record(res.total_ns);
-      // Zero-copy reads complete here, not via complete(): attribute now.
-      p.ledger.finalize(exec_.now(), static_cast<DurNs>(res.io_time_ns),
-                        static_cast<DurNs>(res.target_time_ns));
-      if (telemetry::attribution().record(telemetry::OpClass::kRead, p.ledger,
-                                          res.total_ns, p.generation,
-                                          exec_.now())) {
-        maybe_capture_anomaly(p, res.total_ns, telemetry::OpClass::kRead);
-      }
-      std::move(cb)(std::move(rv), res);
-      return;
-    }
-    // Staged shm read: copy the published chunk into the application
-    // buffer at its offset; the SUCCESS flag (optimized flow) folds the
-    // completion into the last data PDU, otherwise CapsuleResp closes it.
-    if (c2h.offset + c2h.length > p.rdata.size()) {
-      complete(cid, {cid, pdu::NvmeStatus::kDataTransferError, 0}, 0, 0);
-      return;
-    }
+    // Staged shm read: copy the published chunk into place; the SUCCESS
+    // flag (optimized flow) folds the completion into the last data PDU,
+    // otherwise CapsuleResp closes it.
     ep_.consume_payload(
         c2h.shm_slot, p.rdata.subspan(c2h.offset, c2h.length),
-        [this, alive = alive_, cid, gen = p.gen, last = c2h.last,
-         success = c2h.success, io_ns = c2h.io_time_ns,
+        [this, alive = alive_, cid, generation = p.generation,
+         last = c2h.last, success = c2h.success, io_ns = c2h.io_time_ns,
          tgt_ns = c2h.target_time_ns](Result<u64> got) {
           exec_serial_.assume_held();  // consume completion posts here
-          if (!*alive || cid >= inflight_.size() || !slot_busy_[cid]) return;
-          if (inflight_[cid].gen != gen) return;  // replaced by a replay
+          if (!*alive || !holds(cid, generation)) return;  // ended or replayed
           if (!got) {
             note_shm_consume_failure(got.status());
             complete(cid, {cid, pdu::NvmeStatus::kDataTransferError, 0}, 0, 0);
@@ -1041,9 +1007,8 @@ void NvmfInitiator::on_c2h(Pdu pdu) {
     return;
   }
 
-  // Inline TCP chunk: land it in the application buffer.
-  if (c2h.offset + c2h.length > p.rdata.size() ||
-      pdu.payload.size() != c2h.length) {
+  // Inline TCP chunk: it must carry exactly the bytes it announces.
+  if (pdu.payload.size() != c2h.length) {
     complete(cid, {cid, pdu::NvmeStatus::kDataTransferError, 0}, 0, 0);
     return;
   }
@@ -1067,7 +1032,8 @@ void NvmfInitiator::on_c2h(Pdu pdu) {
   // Otherwise the CapsuleResp closes the command.
 }
 
-void NvmfInitiator::on_resp(const pdu::CapsuleResp& resp) {
+void NvmfInitiator::on_resp(Pdu pdu) {
+  const auto& resp = *pdu.as<pdu::CapsuleResp>();
   const u16 cid = resp.cpl.cid;
   if (aborts_.count(cid) != 0) {
     on_abort_resp(cid, resp);
@@ -1077,10 +1043,22 @@ void NvmfInitiator::on_resp(const pdu::CapsuleResp& resp) {
     OAF_WARN_RL("CapsuleResp for unknown cid %u", cid);
     return;
   }
-  if (stale(resp.gen, inflight_[cid])) {
+  Pending& p = inflight_[cid];
+  if (stale(resp.gen, p)) {
     OAF_WARN_RL("stale CapsuleResp for cid %u (gen %u != %u)", cid, resp.gen,
-             inflight_[cid].gen);
+             p.gen);
     return;
+  }
+  if (p.cmd.opcode == NvmeOpcode::kIdentify && p.identify_cb &&
+      pdu.payload.size() >= 12 && resp.cpl.ok()) {
+    // Identify carries (block_size, num_blocks) in the payload.
+    u32 bs = 0;
+    u64 nb = 0;
+    for (int i = 0; i < 4; ++i) bs |= static_cast<u32>(pdu.payload[i]) << (8 * i);
+    for (int i = 0; i < 8; ++i) {
+      nb |= static_cast<u64>(pdu.payload[4 + i]) << (8 * i);
+    }
+    p.identify_result = {bs, nb};
   }
   complete(cid, resp.cpl, resp.io_time_ns, resp.target_time_ns);
 }
@@ -1094,21 +1072,18 @@ void NvmfInitiator::release_cid(u16 cid) {
 }
 
 void NvmfInitiator::complete(u16 cid, const pdu::NvmeCpl& cpl, u64 io_ns,
-                             u64 target_ns) {
+                             u64 target_ns, Result<ReadView>* view) {
   const telemetry::prof::CostScope cost(telemetry::Stage::kComplete);
   Pending& p = inflight_[cid];
-  if (cpl.status == pdu::NvmeStatus::kTransientTransportError && !dead_ &&
-      retryable(p) && p.attempts < opts_.reconnect.max_command_retries) {
+  if (cpl.status == pdu::NvmeStatus::kTransientTransportError &&
+      replayable(p)) {
     // Transport-level fault on an otherwise healthy association (e.g. a
     // data-digest mismatch): replay in place on the same cid. A fresh gen
-    // tag fences any PDU still in flight from the failed attempt.
-    trace_end_span(p);
+    // tag fences any PDU still in flight from the failed attempt;
+    // start_command reopens kEncode.
+    end_attempt(p);
     telemetry::tracer().instant(tel_.track, "resilience", "retry",
                                 p.generation, exec_.now());
-    // Close the failed attempt's wire phase; start_command reopens kEncode.
-    p.ledger.enter(telemetry::Stage::kDetour, exec_.now());
-    p.attempts++;
-    p.bytes_received = 0;
     counters_.commands_retried++;
     telemetry::bump(tel_.retried);
     start_command(cid);
@@ -1127,21 +1102,16 @@ void NvmfInitiator::complete(u16 cid, const pdu::NvmeCpl& cpl, u64 io_ns,
       const TimeNs until = exec_.now() + backoff_for_attempt(p.attempts + 1);
       if (until > congested_until_) congested_until_ = until;
     }
-    if (!dead_ && retryable(p) &&
-        p.attempts < opts_.reconnect.max_command_retries) {
+    if (replayable(p)) {
       // NVMe-style backpressure: the target shed or refused this command
       // before it touched the medium, so replaying it is always safe. Hold
       // the cid slot through a jittered backoff (same deterministic stream
       // as reconnects) and resubmit in place; meanwhile congested() tells
       // drivers to stop offering new work.
-      trace_end_span(p);
+      end_attempt(p);
       telemetry::tracer().instant(tel_.track, "overload",
                                   "queue_full_backoff", p.generation,
                                   exec_.now());
-      // The backoff window is off-path time; kDetour accrues until resubmit.
-      p.ledger.enter(telemetry::Stage::kDetour, exec_.now());
-      p.attempts++;
-      p.bytes_received = 0;
       counters_.queue_full_retries++;
       // Park the deadline for the backoff window — the command is not on
       // the wire, so an expiry here would escalate (abort) a command the
@@ -1154,10 +1124,7 @@ void NvmfInitiator::complete(u16 cid, const pdu::NvmeCpl& cpl, u64 io_ns,
       exec_.schedule_after(
           backoff, [this, alive = alive_, cid, generation] {
             exec_serial_.assume_held();
-            if (!*alive || dead_ || cid >= inflight_.size() ||
-                !slot_busy_[cid] || inflight_[cid].generation != generation) {
-              return;
-            }
+            if (!*alive || dead_ || !holds(cid, generation)) return;
             start_command(cid);
           });
       return;
@@ -1196,10 +1163,6 @@ void NvmfInitiator::complete(u16 cid, const pdu::NvmeCpl& cpl, u64 io_ns,
     maybe_capture_anomaly(p, res.total_ns, op_class);
   }
 
-  IoCb cb = std::move(p.cb);
-  auto view_cb = std::move(p.view_cb);
-  auto identify_cb = std::move(p.identify_cb);
-  auto identify_result = p.identify_result;
   ios_completed_++;
   // cycles/IO denominator (one relaxed load when cycle accounting is off).
   telemetry::prof::cycle_ledger().add_io();
@@ -1214,30 +1177,14 @@ void NvmfInitiator::complete(u16 cid, const pdu::NvmeCpl& cpl, u64 io_ns,
     // window has eased — lift it early rather than waiting it out.
     congested_until_ = 0;
   }
-  release_cid(cid);
-
-  if (identify_cb) {
-    if (cpl.ok() && identify_result.first != 0) {
-      std::move(identify_cb)(identify_result);
-    } else {
-      std::move(identify_cb)(
-          make_error(StatusCode::kUnavailable, "identify failed"));
-    }
-    return;
-  }
-  if (view_cb) {
-    // A zero-copy read normally completes through the C2HData slot
-    // reference, which hands out the view and consumes this callback. A
-    // completion landing here instead (aborted, errored, retries spent)
-    // carries no payload — the caller must still hear about it, or an
-    // aborted view read hangs its issuer forever.
-    std::move(view_cb)(
-        Result<ReadView>(make_error(StatusCode::kUnavailable,
-                                    "read completed without a payload")),
-        res);
-    return;
-  }
-  if (cb) std::move(cb)(res);
+  // Free the cid before the callback so it may submit straight into it. A
+  // view read ending without a view (aborted, errored) still hears of it.
+  Pending done = std::move(p);
+  if (view == nullptr || !view->is_ok()) release_cid(cid);
+  deliver(done, res,
+          done.identify_cb ? "identify failed"
+                           : "read completed without a payload",
+          view);
 }
 
 // --------------------------------------------------------------------------
@@ -1246,22 +1193,10 @@ void NvmfInitiator::complete(u16 cid, const pdu::NvmeCpl& cpl, u64 io_ns,
 
 void NvmfInitiator::maybe_capture_anomaly(const Pending& p, i64 total_ns,
                                           telemetry::OpClass op) {
-  auto& rec = telemetry::anomaly();
-  const TimeNs now = exec_.now();
-  const i64 idx = rec.begin_capture(now);
-  if (idx < 0) return;  // disarmed, out of slots, or rate-limited
-  telemetry::AnomalyContext ctx;
-  ctx.index = idx;
-  ctx.trace_id = p.generation;
-  ctx.op = op;
-  ctx.total_ns = total_ns;
-  ctx.slo_ns = telemetry::attribution().slo_for(op);
-  ctx.stage_ns = p.ledger.stage_ns;
-  // 1 ms of pre-roll in front of the first submission catches the
-  // neighbourhood that queued this I/O behind whatever stalled.
-  ctx.t_from_ns =
-      (p.first_submit >= 0 ? p.first_submit : p.submit_time) - 1'000'000;
-  ctx.t_to_ns = now;
+  auto claimed = telemetry::anomaly().claim(p.generation, op, total_ns,
+                                            p.ledger, exec_.now());
+  if (!claimed) return;  // disarmed, out of slots, or rate-limited
+  telemetry::AnomalyContext& ctx = *claimed;
   ctx.clock_offset_ns = clock_sync_.offset_ns();
   if (connected_ && !dead_ && trace_ctx_) {
     // Ask the target for its half; the capture file is written when the
@@ -1289,7 +1224,7 @@ void NvmfInitiator::maybe_capture_anomaly(const Pending& p, i64 total_ns,
         });
     return;
   }
-  rec.capture(ctx);
+  telemetry::anomaly().capture(ctx);
 }
 
 void NvmfInitiator::on_anomaly_resp(Pdu pdu) {

@@ -287,7 +287,7 @@ class NvmfInitiator : public IoSession {
   void on_icresp(const pdu::ICResp& resp) OAF_REQUIRES(exec_serial_);
   void on_r2t(const pdu::R2T& r2t) OAF_REQUIRES(exec_serial_);
   void on_c2h(pdu::Pdu pdu) OAF_REQUIRES(exec_serial_);
-  void on_resp(const pdu::CapsuleResp& resp) OAF_REQUIRES(exec_serial_);
+  void on_resp(pdu::Pdu pdu) OAF_REQUIRES(exec_serial_);
 
   void submit_or_queue(Pending pending) OAF_REQUIRES(exec_serial_);
   void start_command(u16 cid) OAF_REQUIRES(exec_serial_);
@@ -296,12 +296,20 @@ class NvmfInitiator : public IoSession {
   void send_capsule(u16 cid, bool in_capsule, pdu::DataPlacement placement,
                     std::vector<u8> inline_payload) OAF_REQUIRES(exec_serial_);
   void shm_write_chunk(u16 cid, u16 ttag, u64 offset, u64 end) OAF_REQUIRES(exec_serial_);
-  void complete(u16 cid, const pdu::NvmeCpl& cpl, u64 io_ns, u64 target_ns) OAF_REQUIRES(exec_serial_);
+  /// The one way a command holding a cid ends (DESIGN.md §8.1). `view` is a
+  /// zero-copy read's slot view; a good one keeps the cid until released.
+  void complete(u16 cid, const pdu::NvmeCpl& cpl, u64 io_ns, u64 target_ns,
+                Result<ReadView>* view = nullptr) OAF_REQUIRES(exec_serial_);
   void release_cid(u16 cid) OAF_REQUIRES(exec_serial_);
   void drain_queue() OAF_REQUIRES(exec_serial_);
   void arm_timeout(u16 cid) OAF_REQUIRES(exec_serial_);
   void abort_connection(const char* reason) OAF_REQUIRES(exec_serial_);
+  /// Fail a command that holds no cid (queued, harvested or dead on arrival).
   void fail_pending(Pending& p) OAF_REQUIRES(exec_serial_);
+  /// Hand the outcome to the command's one callback; a failed view or
+  /// identify gets an error saying `why`.
+  static void deliver(Pending& p, const IoResult& res, const char* why,
+                      Result<ReadView>* view);
 
   // Escalation ladder (deadline -> abort -> demote -> reconnect).
   void on_deadline(u16 cid, u64 generation) OAF_REQUIRES(exec_serial_);
@@ -339,7 +347,10 @@ class NvmfInitiator : public IoSession {
   /// command retries, so both pull from the same deterministic jitter
   /// stream.
   [[nodiscard]] DurNs backoff_for_attempt(u32 attempt) OAF_REQUIRES(exec_serial_);
-  [[nodiscard]] bool retryable(const Pending& p) const OAF_REQUIRES(exec_serial_);
+  /// The replay-budget test: association up, replay-safe, attempts left.
+  [[nodiscard]] bool replayable(const Pending& p) const OAF_REQUIRES(exec_serial_);
+  /// End an attempt, not the command: span end, kDetour, one attempt spent.
+  void end_attempt(Pending& p) OAF_REQUIRES(exec_serial_);
   [[nodiscard]] bool stale(u16 pdu_gen, const Pending& p) const {
     return pdu_gen != 0 && p.gen != 0 && pdu_gen != p.gen;
   }
@@ -357,8 +368,12 @@ class NvmfInitiator : public IoSession {
   void on_anomaly_resp(pdu::Pdu pdu) OAF_REQUIRES(exec_serial_);
   static constexpr DurNs kAnomalyFetchTimeoutNs = 250'000'000;
 
-  [[nodiscard]] bool cid_free(u16 cid) const OAF_REQUIRES_SHARED(exec_serial_) {
-    return !slot_busy_[cid];
+  /// True while `cid` still carries attempt `generation`: the fence every
+  /// deferred continuation passes (the command may have ended or replayed).
+  [[nodiscard]] bool holds(u16 cid, u64 generation) const
+      OAF_REQUIRES_SHARED(exec_serial_) {
+    return cid < inflight_.size() && slot_busy_[cid] &&
+           inflight_[cid].generation == generation;
   }
 
   template <typename Cb>
@@ -438,7 +453,7 @@ class NvmfInitiator : public IoSession {
   u64 ios_completed_ OAF_GUARDED_BY(exec_serial_) = 0;
   u64 timeouts_ OAF_GUARDED_BY(exec_serial_) = 0;
 
-  // In-flight anomaly fetch (at most one; begin_capture rate-limits).
+  // In-flight anomaly fetch (at most one; claim() rate-limits).
   bool anomaly_fetch_pending_ OAF_GUARDED_BY(exec_serial_) = false;
   u64 anomaly_fetch_epoch_
       OAF_GUARDED_BY(exec_serial_) = 0;  // invalidates fetch-timeout callback

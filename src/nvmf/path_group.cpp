@@ -116,17 +116,9 @@ void PathGroup::dispatch(u64 gseq) {
   const auto views = eligible_views();
   if (views.empty()) {
     if (all_dead()) {
-      GroupCmd done = std::move(it->second);
-      live_.erase(it);
-      ios_completed_++;
       IoResult res;
       res.cpl.status = pdu::NvmeStatus::kDataTransferError;
-      if (done.identify_cb) {
-        std::move(done.identify_cb)(
-            make_error(StatusCode::kUnavailable, "all paths dead"));
-      } else if (done.cb) {
-        std::move(done.cb)(res);
-      }
+      finish(it, res, make_error(StatusCode::kUnavailable, "all paths dead"));
       return;
     }
     // No path right now, but at least one may come back: wait, in order —
@@ -134,9 +126,6 @@ void PathGroup::dispatch(u64 gseq) {
     // submission fails fast with retryable backpressure instead of growing
     // the queue without limit (DESIGN.md §12).
     if (parked_.size() >= opts_.max_parked) {
-      GroupCmd done = std::move(it->second);
-      live_.erase(it);
-      ios_completed_++;
       park_overflows_++;
       telemetry::bump(tel_.park_overflow);
       telemetry::tracer().instant(tel_.track, "overload", "park_overflow",
@@ -145,12 +134,8 @@ void PathGroup::dispatch(u64 gseq) {
                   opts_.name.c_str(), parked_.size());
       IoResult res;
       res.cpl.status = pdu::NvmeStatus::kQueueFull;
-      if (done.identify_cb) {
-        std::move(done.identify_cb)(make_error(StatusCode::kResourceExhausted,
-                                               "parked queue full"));
-      } else if (done.cb) {
-        std::move(done.cb)(res);
-      }
+      finish(it, res,
+             make_error(StatusCode::kResourceExhausted, "parked queue full"));
       return;
     }
     parked_.push_back(gseq);
@@ -180,13 +165,14 @@ void PathGroup::issue_on_path(u64 gseq, u32 path_index) {
     init.identify(cmd.nsid, [this, alive = alive_,
                              gseq](Result<std::pair<u32, u64>> r) {
       exec_serial_.assume_held();  // completions deliver on the reactor
-      if (*alive) on_identify_result(gseq, std::move(r));
+      if (*alive) on_result(gseq, IoResult{}, std::move(r));
     });
     return;
   }
   auto cb = [this, alive = alive_, gseq](IoResult res) {
     exec_serial_.assume_held();  // completions deliver on the reactor
-    if (*alive) on_io_result(gseq, res);
+    // An I/O has no identify callback, so `identified` is never delivered.
+    if (*alive) on_result(gseq, res, Status(StatusCode::kUnavailable));
   };
   switch (cmd.op) {
     case GroupCmd::Op::kWrite:
@@ -230,7 +216,20 @@ void PathGroup::note_redrive(u64 gseq, GroupCmd& cmd) {
                               exec_.now());
 }
 
-void PathGroup::on_io_result(u64 gseq, IoResult res) {
+void PathGroup::finish(LiveMap::iterator it, const IoResult& res,
+                       Result<std::pair<u32, u64>> identified) {
+  GroupCmd done = std::move(it->second);
+  live_.erase(it);  // fence BEFORE delivering: a late duplicate finds nothing
+  ios_completed_++;
+  if (done.identify_cb) {
+    std::move(done.identify_cb)(std::move(identified));
+  } else if (done.cb) {
+    std::move(done.cb)(res);
+  }
+}
+
+void PathGroup::on_result(u64 gseq, const IoResult& res,
+                          Result<std::pair<u32, u64>> identified) {
   const auto it = live_.find(gseq);
   if (it == live_.end()) {
     // Exactly-once fence: the command was already delivered (or re-driven
@@ -241,40 +240,15 @@ void PathGroup::on_io_result(u64 gseq, IoResult res) {
     return;
   }
   finish_path_accounting(it->second);
-  if (!res.ok() && redrivable(res) &&
-      it->second.redrives < opts_.redrive_budget) {
+  const bool failed = it->second.op == GroupCmd::Op::kIdentify
+                          ? !identified
+                          : !res.ok() && redrivable(res);
+  if (failed && it->second.redrives < opts_.redrive_budget) {
     note_redrive(gseq, it->second);
     dispatch(gseq);  // re-selects; parks if no path is up right now
     return;
   }
-  GroupCmd done = std::move(it->second);
-  live_.erase(it);  // fence BEFORE delivering: a late duplicate finds nothing
-  ios_completed_++;
-  if (done.identify_cb) {
-    std::move(done.identify_cb)(
-        make_error(StatusCode::kUnavailable, "identify failed"));
-  } else if (done.cb) {
-    std::move(done.cb)(res);
-  }
-}
-
-void PathGroup::on_identify_result(u64 gseq, Result<std::pair<u32, u64>> r) {
-  const auto it = live_.find(gseq);
-  if (it == live_.end()) {
-    duplicates_suppressed_++;
-    telemetry::bump(tel_.duplicates);
-    return;
-  }
-  finish_path_accounting(it->second);
-  if (!r && it->second.redrives < opts_.redrive_budget) {
-    note_redrive(gseq, it->second);
-    dispatch(gseq);
-    return;
-  }
-  GroupCmd done = std::move(it->second);
-  live_.erase(it);
-  ios_completed_++;
-  if (done.identify_cb) std::move(done.identify_cb)(std::move(r));
+  finish(it, res, std::move(identified));
 }
 
 // --------------------------------------------------------------------------
@@ -356,17 +330,9 @@ void PathGroup::fail_all_parked() {
     parked_.pop_front();
     const auto it = live_.find(gseq);
     if (it == live_.end()) continue;
-    GroupCmd done = std::move(it->second);
-    live_.erase(it);
-    ios_completed_++;
     IoResult res;
     res.cpl.status = pdu::NvmeStatus::kDataTransferError;
-    if (done.identify_cb) {
-      std::move(done.identify_cb)(
-          make_error(StatusCode::kUnavailable, "all paths dead"));
-    } else if (done.cb) {
-      std::move(done.cb)(res);
-    }
+    finish(it, res, make_error(StatusCode::kUnavailable, "all paths dead"));
   }
 }
 

@@ -180,6 +180,7 @@ class PathGroup final : public IoSession {
     /// only the group sees this time, the paths' ledgers never do.
     TimeNs detour_start = 0;
   };
+  using LiveMap = std::unordered_map<u64, GroupCmd>;
 
   [[nodiscard]] bool eligible(const PathSlot& s) const
       OAF_REQUIRES_SHARED(exec_serial_);
@@ -192,8 +193,15 @@ class PathGroup final : public IoSession {
   void submit(GroupCmd cmd) OAF_REQUIRES(exec_serial_);
   void dispatch(u64 gseq) OAF_REQUIRES(exec_serial_);
   void issue_on_path(u64 gseq, u32 path_index) OAF_REQUIRES(exec_serial_);
-  void on_io_result(u64 gseq, IoResult res) OAF_REQUIRES(exec_serial_);
-  void on_identify_result(u64 gseq, Result<std::pair<u32, u64>> r)
+  /// A path's answer for `gseq` (`res` for I/O, `identified` for identify):
+  /// drop a late duplicate, re-drive a failure within budget, else finish.
+  void on_result(u64 gseq, const IoResult& res,
+                 Result<std::pair<u32, u64>> identified)
+      OAF_REQUIRES(exec_serial_);
+  /// The one way a group command ends: erase, count, deliver — erasing
+  /// first is the exactly-once fence (DESIGN.md §11.3).
+  void finish(LiveMap::iterator it, const IoResult& res,
+              Result<std::pair<u32, u64>> identified)
       OAF_REQUIRES(exec_serial_);
   void on_path_event(u32 path_index, NvmfInitiator::PathEvent e)
       OAF_REQUIRES(exec_serial_);
@@ -218,8 +226,7 @@ class PathGroup final : public IoSession {
   std::unique_ptr<PathSelector> selector_;
   std::vector<PathSlot> paths_ OAF_GUARDED_BY(exec_serial_);
 
-  std::unordered_map<u64, GroupCmd> live_
-      OAF_GUARDED_BY(exec_serial_);  ///< by gseq; erase = delivered
+  LiveMap live_ OAF_GUARDED_BY(exec_serial_);  ///< by gseq; erase = delivered
   std::deque<u64> parked_
       OAF_GUARDED_BY(exec_serial_);  ///< gseqs awaiting a path
   u64 next_gseq_ OAF_GUARDED_BY(exec_serial_) = 1;

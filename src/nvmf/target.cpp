@@ -70,15 +70,6 @@ void NvmfTargetConnection::init_telemetry() {
                         "overload high-watermark policy");
 }
 
-void NvmfTargetConnection::trace_end_cmd(u16 cid) {
-  const auto it = inflight_.find(cid);
-  if (it != inflight_.end()) {
-    telemetry::tracer().end(tel_.track, "target_io",
-                            op_span_name(it->second.cmd.opcode),
-                            it->second.span, exec_.now());
-  }
-}
-
 NvmfTargetConnection::~NvmfTargetConnection() {
   *alive_ = false;
   // The global budget outlives this connection (the service owns it);
@@ -192,15 +183,12 @@ void NvmfTargetConnection::on_icreq(const pdu::ICReq& req) {
   control_.send(std::move(out));
 }
 
-DurNs NvmfTargetConnection::target_time(u16 cid, DurNs io_time) const {
-  const auto it = inflight_.find(cid);
-  if (it == inflight_.end()) return 0;
+u64 NvmfTargetConnection::target_time(const IoCtx& ctx, DurNs io_time) const {
   // Processing time at the target: end-to-end residency minus device time
   // and minus data-path copy residency (which belongs to the breakdown's
   // communication component, Figs 3/12).
-  const DurNs spent =
-      exec_.now() - it->second.arrival - io_time - it->second.copy_wait;
-  return spent > 0 ? spent : 0;
+  const DurNs spent = exec_.now() - ctx.arrival - io_time - ctx.copy_wait;
+  return spent > 0 ? static_cast<u64>(spent) : 0;
 }
 
 void NvmfTargetConnection::send_resp(u16 cid, const pdu::NvmeCpl& cpl,
@@ -209,20 +197,58 @@ void NvmfTargetConnection::send_resp(u16 cid, const pdu::NvmeCpl& cpl,
   pdu::CapsuleResp resp;
   resp.cpl = cpl;
   resp.io_time_ns = static_cast<u64>(io_time);
-  resp.target_time_ns = static_cast<u64>(target_time(cid, io_time));
-  resp.gen = gen_of(cid);
+  if (const auto it = inflight_.find(cid); it != inflight_.end()) {
+    resp.target_time_ns = target_time(it->second, io_time);
+    resp.gen = it->second.gen;
+  }
   Pdu pdu;
   pdu.header = resp;
   pdu.payload = std::move(payload);
-  trace_end_cmd(cid);
-  {
-    const auto it = inflight_.find(cid);
-    if (it != inflight_.end()) record_attribution(it->second);
+  retire(cid);
+  control_.send(std::move(pdu));
+}
+
+void NvmfTargetConnection::retire(u16 cid) {
+  const auto it = inflight_.find(cid);
+  if (it != inflight_.end()) {
+    telemetry::tracer().end(tel_.track, "target_io",
+                            op_span_name(it->second.cmd.opcode),
+                            it->second.span, exec_.now());
+    record_attribution(it->second);
+    release_staging(it->second.charged);
+    inflight_.erase(it);
   }
-  erase_inflight(cid);
   commands_served_++;
   telemetry::bump(tel_.commands);
-  control_.send(std::move(pdu));
+}
+
+NvmfTargetConnection::IoCtx* NvmfTargetConnection::live(u16 cid, u64 seq) {
+  const auto it = inflight_.find(cid);
+  return it != inflight_.end() && it->second.seq == seq ? &it->second
+                                                        : nullptr;
+}
+
+NvmfTargetConnection::IoCtx* NvmfTargetConnection::consume_done(
+    u16 cid, u64 seq, const Result<u64>& got, u64 len) {
+  drop_zombie(seq);  // copy done; zombie (and its charge) can go
+  IoCtx* ctx = live(cid, seq);
+  if (ctx == nullptr) return nullptr;  // aborted while the copy was in flight
+  ctx->copies_in_flight--;
+  if (got && got.value() == len) return ctx;
+  if (!got) note_consume_failure(got.status());
+  send_resp(cid, {cid, NvmeStatus::kDataTransferError, 0}, 0);
+  return nullptr;
+}
+
+NvmfTargetConnection::IoCtx* NvmfTargetConnection::device_done(u16 cid,
+                                                               u64 seq,
+                                                               u64 span) {
+  telemetry::tracer().end(tel_.track, "target_io", "device", span,
+                          exec_.now());
+  drop_zombie(seq);
+  IoCtx* ctx = live(cid, seq);
+  if (ctx != nullptr) ctx->device_busy = false;
+  return ctx;
 }
 
 void NvmfTargetConnection::reject_queue_full(u16 cid, u16 gen,
@@ -245,13 +271,6 @@ void NvmfTargetConnection::release_staging(u64 n) {
   if (n == 0) return;
   staging_bytes_ = n > staging_bytes_ ? 0 : staging_bytes_ - n;
   if (opts_.global_staging != nullptr) opts_.global_staging->release(n);
-}
-
-void NvmfTargetConnection::erase_inflight(u16 cid) {
-  const auto it = inflight_.find(cid);
-  if (it == inflight_.end()) return;
-  release_staging(it->second.charged);
-  inflight_.erase(it);
 }
 
 void NvmfTargetConnection::drop_zombie(u64 seq) {
@@ -456,18 +475,9 @@ void NvmfTargetConnection::on_capsule(Pdu pdu) {
                copy_start](Result<u64> got) {
                 exec_serial_.assume_held();  // consume posts on the reactor
                 if (!*alive) return;
-                drop_zombie(seq);  // copy done; zombie (and its charge) can go
-                const auto it2 = inflight_.find(cid);
-                if (it2 == inflight_.end() || it2->second.seq != seq) {
-                  return;  // aborted while the copy was in flight
-                }
-                it2->second.copies_in_flight--;
-                if (!got || got.value() != len) {
-                  if (!got) note_consume_failure(got.status());
-                  send_resp(cid, {cid, NvmeStatus::kDataTransferError, 0}, 0);
-                  return;
-                }
-                it2->second.copy_wait += exec_.now() - copy_start;
+                IoCtx* c = consume_done(cid, seq, got, len);
+                if (c == nullptr) return;
+                c->copy_wait += exec_.now() - copy_start;
                 start_device_write(cid);
               });
         } else {
@@ -576,7 +586,7 @@ void NvmfTargetConnection::on_h2c(Pdu pdu) {
     OAF_WARN_RL("stale H2CData for cid %u (gen %u != %u)", cid, h2c.gen, ctx.gen);
     return;
   }
-  if (h2c.offset + h2c.length > ctx.buffer.size()) {
+  if (!pdu::range_fits(h2c.offset, h2c.length, ctx.buffer.size())) {
     send_resp(cid, {cid, NvmeStatus::kDataTransferError, 0}, 0);
     return;
   }
@@ -594,21 +604,10 @@ void NvmfTargetConnection::on_h2c(Pdu pdu) {
          len = h2c.length](Result<u64> got) {
           exec_serial_.assume_held();  // consume posts on the reactor
           if (!*alive) return;
-          drop_zombie(seq);  // copy done; zombie (and its charge) can go
-          auto it2 = inflight_.find(cid);
-          if (it2 == inflight_.end() || it2->second.seq != seq) {
-            return;  // aborted while the copy was in flight
-          }
-          it2->second.copies_in_flight--;
-          if (!got || got.value() != len) {
-            if (!got) note_consume_failure(got.status());
-            send_resp(cid, {cid, NvmeStatus::kDataTransferError, 0}, 0);
-            return;
-          }
-          it2->second.bytes_received += len;
-          if (it2->second.bytes_received >= it2->second.buffer.size()) {
-            start_device_write(cid);
-          }
+          IoCtx* c = consume_done(cid, seq, got, len);
+          if (c == nullptr) return;
+          c->bytes_received += len;
+          if (c->bytes_received >= c->buffer.size()) start_device_write(cid);
         });
     return;
   }
@@ -658,17 +657,10 @@ void NvmfTargetConnection::start_device_write(u16 cid) {
                         span = ctx.span](pdu::NvmeCpl cpl, DurNs io_time) {
                          exec_serial_.assume_held();  // device completes here
                          if (!*alive) return;
-                         telemetry::tracer().end(tel_.track, "target_io",
-                                                 "device", span, exec_.now());
-                         drop_zombie(seq);
-                         const auto it2 = inflight_.find(cid);
-                         if (it2 == inflight_.end() ||
-                             it2->second.seq != seq) {
-                           return;  // aborted: swallow the completion
-                         }
-                         it2->second.device_busy = false;
-                         it2->second.ledger.enter(telemetry::Stage::kComplete,
-                                                  exec_.now());
+                         IoCtx* c = device_done(cid, seq, span);
+                         if (c == nullptr) return;  // aborted: swallowed
+                         c->ledger.enter(telemetry::Stage::kComplete,
+                                         exec_.now());
                          send_resp(cid, cpl, io_time);
                        });
 }
@@ -689,22 +681,14 @@ void NvmfTargetConnection::handle_read(u16 cid) {
                        span = ctx.span](pdu::NvmeCpl cpl, DurNs io_time) {
                         exec_serial_.assume_held();  // device completes here
                         if (!*alive) return;
-                        telemetry::tracer().end(tel_.track, "target_io",
-                                                "device", span, exec_.now());
-                        drop_zombie(seq);
-                        const auto it2 = inflight_.find(cid);
-                        if (it2 == inflight_.end() || it2->second.seq != seq) {
-                          return;  // aborted: swallow the completion
-                        }
-                        it2->second.device_busy = false;
-                        finish_read(cid, cpl, io_time);
+                        IoCtx* c = device_done(cid, seq, span);
+                        if (c != nullptr) finish_read(*c, cpl, io_time);
                       });
 }
 
-void NvmfTargetConnection::finish_read(u16 cid, pdu::NvmeCpl cpl, DurNs io_time) {
-  auto it = inflight_.find(cid);
-  if (it == inflight_.end()) return;
-  IoCtx& ctx = it->second;
+void NvmfTargetConnection::finish_read(IoCtx& ctx, pdu::NvmeCpl cpl,
+                                       DurNs io_time) {
+  const u16 cid = ctx.cmd.cid;
   ctx.ledger.enter(telemetry::Stage::kComplete, exec_.now());
   if (!cpl.ok()) {
     send_resp(cid, cpl, io_time);
@@ -725,32 +709,28 @@ void NvmfTargetConnection::finish_read(u16 cid, pdu::NvmeCpl cpl, DurNs io_time)
           [this, alive = alive_, cid, seq = ctx.seq, io_time, copy_start] {
             exec_serial_.assume_held();
             if (!*alive) return;
-            const auto it2 = inflight_.find(cid);
-            if (it2 == inflight_.end() || it2->second.seq != seq) {
+            IoCtx* c = live(cid, seq);
+            if (c == nullptr) {
               // Aborted mid-stage: the published payload has no consumer —
               // drop it so the slot's next owner starts clean.
               ep_.abandon_slot(cid);
               return;
             }
-            it2->second.copy_wait += exec_.now() - copy_start;
+            c->copy_wait += exec_.now() - copy_start;
             pdu::C2HData c2h;
             c2h.cid = cid;
             c2h.offset = 0;
-            c2h.length = it2->second.buffer.size();
+            c2h.length = c->buffer.size();
             c2h.last = true;
             c2h.success = true;
             c2h.placement = DataPlacement::kShmSlot;
             c2h.shm_slot = cid;
             c2h.io_time_ns = static_cast<u64>(io_time);
-            c2h.target_time_ns = static_cast<u64>(target_time(cid, io_time));
-            c2h.gen = gen_of(cid);
+            c2h.target_time_ns = target_time(*c, io_time);
+            c2h.gen = c->gen;
             Pdu pdu;
             pdu.header = c2h;
-            trace_end_cmd(cid);
-            record_attribution(it2->second);
-            erase_inflight(cid);
-            commands_served_++;
-            telemetry::bump(tel_.commands);
+            retire(cid);
             control_.send(std::move(pdu));
           });
       if (!st) {
@@ -780,7 +760,7 @@ void NvmfTargetConnection::finish_read(u16 cid, pdu::NvmeCpl cpl, DurNs io_time)
     c2h.gen = ctx.gen;
     if (c.last) {
       c2h.io_time_ns = static_cast<u64>(io_time);
-      c2h.target_time_ns = static_cast<u64>(target_time(cid, io_time));
+      c2h.target_time_ns = target_time(ctx, io_time);
     }
     Pdu pdu;
     pdu.payload.assign(ctx.buffer.begin() + static_cast<std::ptrdiff_t>(c.offset),
@@ -793,14 +773,10 @@ void NvmfTargetConnection::finish_read(u16 cid, pdu::NvmeCpl cpl, DurNs io_time)
     pdu.header = c2h;
     control_.send(std::move(pdu));
   }
-  if (!fold_completion) {
-    send_resp(cid, cpl, io_time);
+  if (fold_completion) {
+    retire(cid);
   } else {
-    trace_end_cmd(cid);
-    record_attribution(ctx);
-    erase_inflight(cid);
-    commands_served_++;
-    telemetry::bump(tel_.commands);
+    send_resp(cid, cpl, io_time);
   }
 }
 
@@ -824,18 +800,9 @@ void NvmfTargetConnection::record_attribution(const IoCtx& ctx) {
   // Target-side breach: capture the local half only. The host drives the
   // cross-process capture for breaches it observes end-to-end.
   auto& rec = telemetry::anomaly();
-  const i64 idx = rec.begin_capture(now);
-  if (idx < 0) return;
-  telemetry::AnomalyContext actx;
-  actx.index = idx;
-  actx.trace_id = ctx.span;
-  actx.op = op;
-  actx.total_ns = total_ns;
-  actx.slo_ns = attr.slo_for(op);
-  actx.stage_ns = ledger.stage_ns;
-  actx.t_from_ns = ctx.arrival - 1'000'000;
-  actx.t_to_ns = now;
-  rec.capture(actx);
+  if (auto actx = rec.claim(ctx.span, op, total_ns, ledger, now)) {
+    rec.capture(*actx);
+  }
 }
 
 void NvmfTargetConnection::on_anomaly_req(const pdu::AnomalyReq& req) {
@@ -872,8 +839,7 @@ void NvmfTargetConnection::shm_read_chunk(u16 cid, u64 offset,
        io_time, gen = ctx.gen] {
         exec_serial_.assume_held();
         if (!*alive) return;
-        const auto it2 = inflight_.find(cid);
-        if (it2 == inflight_.end() || it2->second.seq != seq) {
+        if (live(cid, seq) == nullptr) {
           ep_.abandon_slot(cid);  // aborted mid-stage: drop the orphan chunk
           return;
         }
@@ -898,9 +864,7 @@ void NvmfTargetConnection::shm_read_chunk(u16 cid, u64 offset,
       // An aborted read must not keep parking chunks in the slot.
       [this, alive = alive_, cid, seq = ctx.seq] {
         exec_serial_.assume_held();
-        if (!*alive) return true;
-        const auto it2 = inflight_.find(cid);
-        return it2 == inflight_.end() || it2->second.seq != seq;
+        return !*alive || live(cid, seq) == nullptr;
       });
 }
 
@@ -936,12 +900,7 @@ void NvmfTargetConnection::handle_admin(u16 cid) {
                   span = ctx.span](pdu::NvmeCpl cpl, DurNs io_time) {
           exec_serial_.assume_held();  // device completes here
           if (!*alive) return;
-          telemetry::tracer().end(tel_.track, "target_io", "device", span,
-                                  exec_.now());
-          drop_zombie(seq);
-          const auto it2 = inflight_.find(cid);
-          if (it2 == inflight_.end() || it2->second.seq != seq) return;
-          it2->second.device_busy = false;
+          if (device_done(cid, seq, span) == nullptr) return;
           send_resp(cid, cpl, io_time);
         });
     return;

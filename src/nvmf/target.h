@@ -235,7 +235,7 @@ class NvmfTargetConnection {
       OAF_REQUIRES(exec_serial_);
   void handle_admin(u16 cid) OAF_REQUIRES(exec_serial_);
   void handle_abort(u16 cid) OAF_REQUIRES(exec_serial_);
-  void finish_read(u16 cid, pdu::NvmeCpl cpl, DurNs io_time)
+  void finish_read(IoCtx& ctx, pdu::NvmeCpl cpl, DurNs io_time)
       OAF_REQUIRES(exec_serial_);
 
   /// Consume-path failure: kPeerMisbehavior means the fencing caught a bad
@@ -244,6 +244,18 @@ class NvmfTargetConnection {
 
   void send_resp(u16 cid, const pdu::NvmeCpl& cpl, DurNs io_time,
                  std::vector<u8> payload = {}) OAF_REQUIRES(exec_serial_);
+  /// The one way a served command ends: span end, attribution, erase with
+  /// its staging charge returned, served counter. Build the reply first.
+  void retire(u16 cid) OAF_REQUIRES(exec_serial_);
+  /// The command `seq` if it still holds `cid`, else null: the cid-reuse
+  /// fence every device, consume and stage continuation passes.
+  [[nodiscard]] IoCtx* live(u16 cid, u64 seq) OAF_REQUIRES(exec_serial_);
+  /// Head of every device completion: device span end, zombie drop, fence.
+  /// Returns the command (now off the device), or null if it was aborted.
+  IoCtx* device_done(u16 cid, u64 seq, u64 span) OAF_REQUIRES(exec_serial_);
+  /// The same for an shm consume; a short or failed copy fails the command.
+  IoCtx* consume_done(u16 cid, u64 seq, const Result<u64>& got, u64 len)
+      OAF_REQUIRES(exec_serial_);
   void send_term(const std::string& reason) OAF_REQUIRES(exec_serial_);
 
   /// Serve the peer's half of an anomaly capture from the local ring,
@@ -260,17 +272,11 @@ class NvmfTargetConnection {
       OAF_REQUIRES(exec_serial_);
   /// Return `n` staging bytes to the per-connection and global budgets.
   void release_staging(u64 n) OAF_REQUIRES(exec_serial_);
-  /// Erase an in-flight command, returning its staging charge first.
-  void erase_inflight(u16 cid) OAF_REQUIRES(exec_serial_);
   /// Drop an aborted command's parked buffer and return its charge.
   void drop_zombie(u64 seq) OAF_REQUIRES(exec_serial_);
 
-  [[nodiscard]] DurNs target_time(u16 cid, DurNs io_time) const
+  [[nodiscard]] u64 target_time(const IoCtx& ctx, DurNs io_time) const
       OAF_REQUIRES_SHARED(exec_serial_);
-  [[nodiscard]] u16 gen_of(u16 cid) const OAF_REQUIRES_SHARED(exec_serial_) {
-    const auto it = inflight_.find(cid);
-    return it != inflight_.end() ? it->second.gen : 0;
-  }
 
   Executor& exec_;
   /// Executor-affinity capability (af/exec_serial.h): this connection's
@@ -343,8 +349,6 @@ class NvmfTargetConnection {
     telemetry::Counter* shed = nullptr;
   } tel_;
   void init_telemetry() OAF_REQUIRES(exec_serial_);
-  /// End the command span for a still-inflight cid (no-op if unknown).
-  void trace_end_cmd(u16 cid) OAF_REQUIRES(exec_serial_);
 };
 
 }  // namespace oaf::nvmf

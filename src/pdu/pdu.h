@@ -152,6 +152,12 @@ struct R2T {
   u16 gen = 0;    ///< echo of CapsuleCmd::gen
 };
 
+/// True when a peer-supplied [offset, offset + length) fits in `size` bytes,
+/// tested without the sum, which a hostile offset can wrap past zero.
+constexpr bool range_fits(u64 offset, u64 length, u64 size) {
+  return length <= size && offset <= size - length;
+}
+
 /// Host-to-Controller data (write payload), inline or a shm slot reference.
 struct H2CData {
   u16 cid = 0;

@@ -37,21 +37,51 @@ i64 AnomalyRecorder::begin_capture(TimeNs now) {
   return next_index_++;
 }
 
+std::optional<AnomalyContext> AnomalyRecorder::claim(u64 trace_id, OpClass op,
+                                                     i64 total_ns,
+                                                     const StageLedger& ledger,
+                                                     TimeNs now) {
+  const i64 idx = begin_capture(now);
+  if (idx < 0) return std::nullopt;
+  AnomalyContext ctx;
+  ctx.index = idx;
+  ctx.trace_id = trace_id;
+  ctx.op = op;
+  ctx.total_ns = total_ns;
+  ctx.slo_ns = attribution().slo_for(op);
+  ctx.stage_ns = ledger.stage_ns;
+  ctx.t_from_ns = now - total_ns - kPreRollNs;
+  ctx.t_to_ns = now;
+  return ctx;
+}
+
 std::string AnomalyRecorder::events_json(u64 trace_id, TimeNs from_ns,
                                          TimeNs to_ns, i64 ts_adjust_ns,
                                          size_t max_events) const {
+  const auto ours = [&](const TraceEvent& ev) {
+    return trace_id != 0 && ev.id == trace_id;
+  };
   const std::vector<TraceEvent> events =
       tracer().snapshot([&](const TraceEvent& ev) {
         if (ev.name == nullptr || ev.cat == nullptr) return false;  // blank
-        const bool ours = trace_id != 0 && ev.id == trace_id;
-        const bool neighbour = ev.ts_ns >= from_ns && ev.ts_ns <= to_ns;
-        return ours || neighbour;
+        return ours(ev) || (ev.ts_ns >= from_ns && ev.ts_ns <= to_ns);
       });
+  // Two passes from the newest end: the I/O's own events take the budget
+  // first, window neighbours get the rest.
+  std::vector<bool> keep(events.size(), false);
+  size_t budget = max_events;
+  for (const bool want_ours : {true, false}) {
+    for (size_t i = events.size(); i-- > 0 && budget > 0;) {
+      if (ours(events[i]) != want_ours) continue;
+      keep[i] = true;
+      budget--;
+    }
+  }
   JsonWriter w;
   w.begin_array();
-  size_t emitted = 0;
-  for (const TraceEvent& ev : events) {
-    if (emitted++ >= max_events) break;
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (!keep[i]) continue;
+    const TraceEvent& ev = events[i];
     w.begin_object();
     w.key("name").value(ev.name);
     w.key("cat").value(ev.cat);

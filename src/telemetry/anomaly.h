@@ -15,8 +15,8 @@
 //      exercising SLO paths don't litter the filesystem.
 //   2. Tools call anomaly().configure({dir, ...}) to arm capture.
 //   3. The initiator's completion path asks attribution().record() for the
-//      breach verdict; on breach it calls begin_capture() (rate-limited so
-//      one stall doesn't produce a capture per queued I/O), fetches the
+//      breach verdict; on breach it calls claim() (rate-limited so one
+//      stall doesn't produce a capture per queued I/O), fetches the
 //      target-side events with an AnomalyReq PDU keyed by the wire
 //      trace_id, and writes one file containing BOTH halves — the remote
 //      timestamps pre-corrected onto the local clock via the NTP-style
@@ -28,6 +28,7 @@
 // locally (no reverse fetch); either side answers AnomalyReq from tracer().
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "common/mutex.h"
@@ -83,6 +84,19 @@ class AnomalyRecorder {
   /// whether or not the remote fetch later succeeds.
   [[nodiscard]] i64 begin_capture(TimeNs now);
 
+  /// Capture-window pre-roll before a breaching I/O's start: it catches the
+  /// neighbourhood that queued the I/O behind whatever stalled.
+  static constexpr DurNs kPreRollNs = 1'000'000;
+
+  /// begin_capture() for an I/O that breached at `now`, returning its
+  /// context for capture(): op, total vs the class SLO, the ledger's stages
+  /// and the window from kPreRollNs before its start (now - total_ns) to
+  /// now. nullopt when the gate says no.
+  [[nodiscard]] std::optional<AnomalyContext> claim(u64 trace_id, OpClass op,
+                                                    i64 total_ns,
+                                                    const StageLedger& ledger,
+                                                    TimeNs now);
+
   /// Write oaf_anomaly_<ctx.index>.json: context + both event halves + the
   /// current attribution heatmap. Returns the path, or "" on I/O failure.
   std::string capture(const AnomalyContext& ctx);
@@ -92,7 +106,8 @@ class AnomalyRecorder {
   /// [from_ns, to_ns] (neighbour I/Os, instants). `ts_adjust_ns` is added
   /// to every emitted ts_ns — the target answers AnomalyReq with
   /// -offset so its events land on the initiator's clock. Returns a JSON
-  /// array, at most `max_events` entries, oldest first.
+  /// array of at most `max_events` entries in ring order: the I/O's own
+  /// events first, then the newest neighbours in what is left.
   [[nodiscard]] std::string events_json(u64 trace_id, TimeNs from_ns,
                                         TimeNs to_ns, i64 ts_adjust_ns,
                                         size_t max_events) const;

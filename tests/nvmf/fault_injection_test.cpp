@@ -178,6 +178,55 @@ TEST(FaultInjectionTest, CorruptedShmSlotReferenceFailsCommand) {
   EXPECT_FALSE(h.initiator->dead());  // per-command failure, not a teardown
 }
 
+TEST(FaultInjectionTest, OversizedR2TFailsWriteWithoutSendingData) {
+  FaultHarness h(af::AfConfig::stock_tcp());
+  std::vector<u8> data(16 * 1024);  // above the in-capsule limit: R2T flow
+  // A grant 4 KiB longer than the write: honouring it would send bytes
+  // from past the end of the caller's buffer.
+  h.target_ch->set_fault([&](pdu::Pdu& p) {
+    if (auto* r2t = p.as<pdu::R2T>()) r2t->length = data.size() + 4096;
+    return true;
+  });
+  int h2c_sent = 0;
+  h.client_ch->set_fault([&](pdu::Pdu& p) {
+    h2c_sent += p.type() == pdu::PduType::kH2CData ? 1 : 0;
+    return true;
+  });
+  pdu::NvmeStatus status = pdu::NvmeStatus::kSuccess;
+  h.initiator->write(1, 0, data, [&](NvmfInitiator::IoResult r) {
+    status = r.cpl.status;
+  });
+  h.sched.run();
+  EXPECT_EQ(status, pdu::NvmeStatus::kDataTransferError);
+  EXPECT_EQ(h2c_sent, 0);
+  EXPECT_FALSE(h.initiator->dead());
+}
+
+TEST(FaultInjectionTest, WrappingC2HOffsetFailsRead) {
+  FaultHarness h(af::AfConfig::stock_tcp());
+  std::vector<u8> data(4096, 0x5a);
+  bool wrote = false;
+  h.initiator->write(1, 0, data, [&](NvmfInitiator::IoResult r) {
+    wrote = r.ok();
+  });
+  h.sched.run();
+  ASSERT_TRUE(wrote);
+  // offset + length wraps u64 to 3072, which a summing bounds check would
+  // pass into a copy landing 1 KiB before the read buffer.
+  h.target_ch->set_fault([](pdu::Pdu& p) {
+    if (auto* c2h = p.as<pdu::C2HData>()) c2h->offset = ~u64{0} - 1023;
+    return true;
+  });
+  std::vector<u8> out(4096);
+  pdu::NvmeStatus status = pdu::NvmeStatus::kSuccess;
+  h.initiator->read(1, 0, out, [&](NvmfInitiator::IoResult r) {
+    status = r.cpl.status;
+  });
+  h.sched.run();
+  EXPECT_EQ(status, pdu::NvmeStatus::kDataTransferError);
+  EXPECT_FALSE(h.initiator->dead());
+}
+
 TEST(FaultInjectionTest, RandomDropStormNeverWedgesForever) {
   // Property: with a lossy channel and timeouts enabled, every submitted
   // command's callback fires exactly once (success, error, or abort).

@@ -12,6 +12,8 @@
 #include "nvmf/target.h"
 #include "sim/scheduler.h"
 #include "ssd/real_device.h"
+#include "ssd/sim_device.h"
+#include "telemetry/prof/cost_center.h"
 
 namespace oaf::nvmf {
 namespace {
@@ -175,6 +177,37 @@ TEST(NvmfIntegrationTest, ZeroCopyRead) {
   h.initiator->read(1, 64, out, [&](auto r) { again = r.ok(); });
   h.sched.run();
   EXPECT_TRUE(again);
+}
+
+TEST(NvmfIntegrationTest, ZeroCopyReadCompletesLikeAnyOtherRead) {
+  Harness h(af::AfConfig::oaf());
+  // A namespace with service time, so the read takes nonzero virtual time.
+  ssd::SimDeviceParams params;
+  params.num_blocks = 1 << 12;
+  ssd::SimDevice timed(h.sched, params);
+  ASSERT_TRUE(h.subsystem.add_namespace(2, &timed).is_ok());
+  auto& cycles = telemetry::prof::cycle_ledger();
+  cycles.reset_for_test();
+  cycles.set_enabled(true);
+  bool checked = false;
+  h.initiator->zero_copy_read(
+      2, 64, 4096,
+      [&](Result<NvmfInitiator::ReadView> view, NvmfInitiator::IoResult r) {
+        ASSERT_TRUE(view.is_ok()) << view.status().to_string();
+        EXPECT_TRUE(r.ok());
+        view.value().release();
+        checked = true;
+      });
+  h.sched.run();
+  const u64 ios = cycles.snapshot().ios;
+  cycles.set_enabled(false);
+  cycles.reset_for_test();
+  ASSERT_TRUE(checked);
+  // The read fed the cycles/IO denominator, the path's latency EWMA and the
+  // completion count, exactly as a staged read does.
+  EXPECT_EQ(ios, 1u);
+  EXPECT_GT(h.initiator->latency_ewma_ns(), 0);
+  EXPECT_EQ(h.initiator->ios_completed(), 1u);
 }
 
 TEST(NvmfIntegrationTest, FlushAndIdentify) {

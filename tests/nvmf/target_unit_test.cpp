@@ -238,6 +238,39 @@ TEST(TargetUnitTest, H2COverflowRejectedPerCommand) {
   EXPECT_EQ(resp->cpl.status, pdu::NvmeStatus::kDataTransferError);
 }
 
+TEST(TargetUnitTest, H2CWrappingOffsetRejectedPerCommand) {
+  TargetHarness h;
+  h.send(icreq(1, false));
+  h.received.clear();
+
+  pdu::CapsuleCmd cmd;
+  cmd.cmd.opcode = pdu::NvmeOpcode::kWrite;
+  cmd.cmd.cid = 8;
+  cmd.cmd.nsid = 1;
+  cmd.cmd.nlb = 63;
+  cmd.data_len = 64 * 512;
+  pdu::Pdu p;
+  p.header = cmd;
+  h.send(std::move(p));
+  h.received.clear();
+
+  // offset + length wraps u64 to 1024, which a summing bounds check would
+  // wave through into a write 1 KiB before the staging buffer.
+  pdu::H2CData h2c;
+  h2c.cid = 8;
+  h2c.offset = ~u64{0} - 1023;  // 2^64 - 1024
+  h2c.length = 2048;
+  pdu::Pdu d;
+  d.header = h2c;
+  d.payload.resize(2048);
+  h.send(std::move(d));
+
+  const auto* resp = h.find<pdu::CapsuleResp>();
+  ASSERT_NE(resp, nullptr);
+  EXPECT_EQ(resp->cpl.status, pdu::NvmeStatus::kDataTransferError);
+  EXPECT_EQ(h.target->inflight_now(), 0u);
+}
+
 TEST(TargetUnitTest, IdentifyReportsGeometry) {
   TargetHarness h;
   h.send(icreq(1, false));

@@ -338,6 +338,55 @@ TEST_F(AnomalyTest, EventsJsonFiltersByIdAndWindowAndAdjustsTimestamps) {
   EXPECT_EQ(arr.items()[2]["ts_ns"].as_i64(), 2010);
 }
 
+TEST_F(AnomalyTest, EventsJsonKeepsTheIosOwnEventsPastTheCap) {
+  const u32 t = tracer().track("test");
+  // A busy window: more neighbours than the cap, all recorded before the
+  // breaching I/O's own begin/end.
+  constexpr size_t kCap = 16;
+  for (i64 i = 0; i < 2 * static_cast<i64>(kCap); ++i) {
+    tracer().instant(t, "io", "neighbor", /*id=*/1000 + static_cast<u64>(i),
+                     /*now=*/100 + i);
+  }
+  tracer().begin(t, "io", "read", /*id=*/42, /*now=*/200);
+  tracer().end(t, "io", "read", 42, 300);
+
+  const std::string json = anomaly().events_json(
+      /*trace_id=*/42, /*from=*/0, /*to=*/1000, /*ts_adjust=*/0, kCap);
+  auto doc = json_parse(json);
+  ASSERT_TRUE(doc) << doc.status().to_string();
+  const auto& arr = doc.value().items();
+  ASSERT_EQ(arr.size(), kCap);
+  // Both of the I/O's events made it, in ring order at the end...
+  EXPECT_EQ(arr[kCap - 2]["id"].as_i64(), 42);
+  EXPECT_EQ(arr[kCap - 1]["id"].as_i64(), 42);
+  // ...and the neighbours that fill the rest are the newest ones, oldest
+  // of them first.
+  EXPECT_EQ(arr[0]["ts_ns"].as_i64(), 100 + 2 * static_cast<i64>(kCap) -
+                                          static_cast<i64>(kCap - 2));
+  EXPECT_EQ(arr[kCap - 3]["ts_ns"].as_i64(),
+            100 + 2 * static_cast<i64>(kCap) - 1);
+}
+
+TEST_F(AnomalyTest, ClaimFillsTheContextFromTheLedger) {
+  arm();
+  StageLedger ledger;
+  ledger.reset(5000, Stage::kGrant);
+  ledger.close(9000);
+  const auto ctx = anomaly().claim(/*trace_id=*/77, OpClass::kWrite,
+                                   /*total_ns=*/4000, ledger, /*now=*/9000);
+  ASSERT_TRUE(ctx.has_value());
+  EXPECT_EQ(ctx->index, 0);
+  EXPECT_EQ(ctx->trace_id, 77u);
+  EXPECT_EQ(ctx->op, OpClass::kWrite);
+  EXPECT_EQ(ctx->total_ns, 4000);
+  EXPECT_EQ(ctx->slo_ns, attribution().slo_for(OpClass::kWrite));
+  EXPECT_EQ(ctx->stage_ns[static_cast<size_t>(Stage::kGrant)], 4000);
+  EXPECT_EQ(ctx->t_from_ns, 5000 - AnomalyRecorder::kPreRollNs);
+  EXPECT_EQ(ctx->t_to_ns, 9000);
+  // The claim went through the rate-limit gate like begin_capture().
+  EXPECT_FALSE(anomaly().claim(78, OpClass::kRead, 1, ledger, 9001));
+}
+
 TEST_F(AnomalyTest, CaptureWritesBothHalvesAndTheLedger) {
   arm();
   const u32 t = tracer().track("capture-test");
