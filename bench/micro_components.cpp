@@ -9,7 +9,6 @@
 #include "pdu/codec.h"
 #include "pdu/crc32.h"
 #include "shm/double_buffer.h"
-#include "shm/locked_buffer.h"
 #include "shm/region.h"
 #include "shm/spsc_queue.h"
 
@@ -72,26 +71,6 @@ void BM_DoubleBufferZeroCopyCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_DoubleBufferZeroCopyCycle)->Arg(128 * 1024)->Arg(512 * 1024);
 
-// Locked baseline for contrast (Fig 8's SHM-baseline mechanics).
-void BM_LockedBufferCycle(benchmark::State& state) {
-  const u64 payload = static_cast<u64>(state.range(0));
-  auto region = shm::ShmRegion::anonymous(
-                    shm::LockedSharedBuffer::required_bytes(payload))
-                    .take();
-  auto buf =
-      shm::LockedSharedBuffer::create(region.data(), region.size(), payload)
-          .take();
-  std::vector<u8> in(payload, 1);
-  std::vector<u8> out(payload);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(buf.put(in));
-    benchmark::DoNotOptimize(buf.take(out));
-  }
-  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
-                          static_cast<i64>(payload));
-}
-BENCHMARK(BM_LockedBufferCycle)->Arg(4096)->Arg(128 * 1024);
-
 // --------------------------------------------------------------------------
 // SPSC notification queue.
 // --------------------------------------------------------------------------
@@ -107,17 +86,22 @@ void BM_SpscQueuePushPop(benchmark::State& state) {
 BENCHMARK(BM_SpscQueuePushPop);
 
 // --------------------------------------------------------------------------
-// Buffer pool.
+// Target staging pool: one admission's acquire (charge, recycle, zero) and
+// release under a connection pool with a target-wide parent.
 // --------------------------------------------------------------------------
-void BM_BufferPoolAllocFree(benchmark::State& state) {
-  af::BufferPool pool(128 * 1024, 128);
+void BM_StagingPoolAcquireRelease(benchmark::State& state) {
+  const u64 len = static_cast<u64>(state.range(0));
+  af::StagingPool global("global", 0);
+  af::StagingPool conn("conn", 0, &global);
   for (auto _ : state) {
-    auto b = pool.alloc();
-    benchmark::DoNotOptimize(b);
-    benchmark::DoNotOptimize(pool.free(b));
+    auto b = conn.acquire(len);
+    benchmark::DoNotOptimize(b.value().data());
+    benchmark::ClobberMemory();
   }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          static_cast<i64>(len));
 }
-BENCHMARK(BM_BufferPoolAllocFree);
+BENCHMARK(BM_StagingPoolAcquireRelease)->Arg(4096)->Arg(128 * 1024);
 
 // --------------------------------------------------------------------------
 // PDU codec + CRC32C.

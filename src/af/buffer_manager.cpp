@@ -1,67 +1,97 @@
 #include "af/buffer_manager.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstring>
+#include <new>
 
 namespace oaf::af {
 
-BufferPool::BufferPool(u64 buffer_bytes, u32 count, u64 alignment)
-    : buffer_bytes_(align_up(buffer_bytes, 64)), count_(count) {
-  assert(is_pow2(alignment));
-  const u64 slab = align_up(buffer_bytes_ * count_, alignment);
-  slab_ = static_cast<u8*>(std::aligned_alloc(alignment, slab));
-  free_list_.reserve(count_);
-  // Reverse order so alloc() hands out low addresses first (cache-friendly,
-  // and deterministic for tests).
-  for (u32 i = count_; i > 0; --i) free_list_.push_back(i - 1);
-  in_use_map_.assign(count_, false);
+namespace {
+
+/// log2 of the power-of-two storage that holds `len` bytes; 64 B at least,
+/// so a free block always has room for the link to the next one.
+u32 size_class(u64 len) {
+  const auto cls = static_cast<u32>(std::bit_width(len == 0 ? 0 : len - 1));
+  return std::max(cls, 6U);
 }
 
-BufferPool::~BufferPool() { std::free(slab_); }
-
-std::span<u8> BufferPool::alloc() {
-  if (free_list_.empty() || slab_ == nullptr) {
-    exhaustions_++;
-    return {};
-  }
-  const u32 idx = free_list_.back();
-  free_list_.pop_back();
-  in_use_map_[idx] = true;
-  in_use_++;
-  if (in_use_ > peak_in_use_) peak_in_use_ = in_use_;
-  return {slab_ + static_cast<u64>(idx) * buffer_bytes_, buffer_bytes_};
+/// A free block keeps the link to the next one in its first bytes, so
+/// releasing never allocates.
+u8* next_free(const u8* block) {
+  u8* next = nullptr;
+  std::memcpy(&next, block, sizeof next);
+  return next;
 }
 
-Result<std::span<u8>> BufferPool::try_alloc() {
-  const std::span<u8> b = alloc();
-  if (b.empty()) {
-    return make_error(StatusCode::kResourceExhausted, "buffer pool exhausted");
+}  // namespace
+
+StagingBuffer& StagingBuffer::operator=(StagingBuffer&& other) noexcept {
+  if (this != &other) {
+    reset();
+    pool_ = std::exchange(other.pool_, nullptr);
+    data_ = std::exchange(other.data_, nullptr);
+    size_ = std::exchange(other.size_, 0);
   }
-  return b;
+  return *this;
 }
 
-Status BufferPool::free(std::span<u8> buffer) {
-  if (buffer.data() == nullptr) {
-    return make_error(StatusCode::kInvalidArgument, "null buffer");
-  }
-  if (!owns(buffer.data())) {
-    return make_error(StatusCode::kInvalidArgument, "buffer not from this pool");
-  }
-  const u64 off = static_cast<u64>(buffer.data() - slab_);
-  if (off % buffer_bytes_ != 0) {
-    return make_error(StatusCode::kInvalidArgument, "misaligned buffer pointer");
-  }
-  const u32 idx = static_cast<u32>(off / buffer_bytes_);
-  if (!in_use_map_[idx]) {
-    return make_error(StatusCode::kFailedPrecondition, "double free");
-  }
-  in_use_map_[idx] = false;
-  free_list_.push_back(idx);
-  in_use_--;
-  return Status::ok();
+void StagingBuffer::reset() {
+  if (pool_ != nullptr) pool_->release(data_, size_);
+  pool_ = nullptr;
+  data_ = nullptr;
+  size_ = 0;
 }
 
-bool BufferPool::owns(const u8* p) const {
-  return slab_ != nullptr && p >= slab_ && p < slab_ + buffer_bytes_ * count_;
+StagingPool::StagingPool(std::string name, u64 capacity, StagingPool* parent)
+    : name_(std::move(name)),
+      capacity_(capacity),
+      parent_(parent),
+      root_(parent != nullptr ? parent->root_ : this) {}
+
+StagingPool::~StagingPool() {
+  assert(in_use_ == 0 && "a staging buffer outlived its pool");
+  for (u8* p : free_) {
+    while (p != nullptr) {
+      u8* const block = p;
+      p = next_free(block);
+      ::operator delete(block);
+    }
+  }
+}
+
+Result<StagingBuffer> StagingPool::acquire(u64 len) {
+  for (StagingPool* p = this; p != nullptr; p = p->parent_) {
+    if (p->capacity_ != 0 && p->in_use_ + len > p->capacity_) {
+      p->denied_++;
+      return make_error(StatusCode::kResourceExhausted, p->name_);
+    }
+  }
+  for (StagingPool* p = this; p != nullptr; p = p->parent_) {
+    p->in_use_ += len;
+    p->peak_ = std::max(p->peak_, p->in_use_);
+  }
+  const u32 cls = size_class(len);
+  u8*& head = root_->free_[cls];
+  u8* data = head;
+  if (data != nullptr) {
+    head = next_free(data);
+  } else {
+    data = static_cast<u8*>(::operator new(u64{1} << cls));
+  }
+  std::memset(data, 0, len);
+  return StagingBuffer(this, data, len);
+}
+
+void StagingPool::release(u8* data, u64 len) {
+  for (StagingPool* p = this; p != nullptr; p = p->parent_) {
+    assert(p->in_use_ >= len);
+    p->in_use_ -= len;
+  }
+  u8*& head = root_->free_[size_class(len)];
+  std::memcpy(data, &head, sizeof head);
+  head = data;
 }
 
 }  // namespace oaf::af

@@ -1,99 +1,93 @@
-// Buffer Manager (paper §4.1, §4.4.3).
+// Buffer Manager (paper §4.1, §4.4.3): the target's staging pool.
 //
-// Two allocation domains:
-//   * a DPDK-style pool — fixed-size, cache-line-aligned buffers carved from
-//     one slab, used by the target for DMA-able staging buffers and by the
-//     client when no shm channel exists. Buffer size follows the configured
-//     chunk size, which is why the chunk knob also moves target memory
-//     utilization (Fig 9);
-//   * shared-memory slots — owned by the DoubleBufferRing; under the
-//     zero-copy design the Buffer Manager hands the application a buffer
-//     that *is* a ring slot, eliminating the client->shm copy.
+// A StagingPool bounds the target's DMA-able staging bytes and provides them:
+// acquire() charges the pool and every ancestor (a connection's pool, then
+// the service's) or nothing, and hands out zeroed bytes in a move-only
+// StagingBuffer that returns bytes and charge together when destroyed, so a
+// charge is released exactly once by construction (DESIGN.md §12). The root
+// pool recycles storage on one LIFO free list per power-of-two size class.
+//
+// Not thread-safe: a tree of pools lives on one reactor. A pool must outlive
+// its buffers and its children.
 #pragma once
 
-#include <cstdlib>
-#include <memory>
+#include <array>
 #include <span>
-#include <vector>
+#include <string>
+#include <utility>
 
 #include "common/status.h"
 #include "common/types.h"
-#include "common/units.h"
 
 namespace oaf::af {
 
-/// Fixed-size aligned buffer pool with an intrusive free list. Not
-/// thread-safe by design: each connection's pool lives on one reactor.
-class BufferPool {
+class StagingPool;
+
+/// `size()` zeroed bytes charged to the pool that handed them out. Empty
+/// (no bytes, no charge) when default-constructed, moved from or reset.
+class StagingBuffer {
  public:
-  /// `buffer_bytes` per buffer, `count` buffers, aligned to `alignment`.
-  BufferPool(u64 buffer_bytes, u32 count, u64 alignment = 4096);
-  ~BufferPool();
+  StagingBuffer() = default;
+  StagingBuffer(StagingBuffer&& other) noexcept { *this = std::move(other); }
+  StagingBuffer& operator=(StagingBuffer&& other) noexcept;
+  ~StagingBuffer() { reset(); }
 
-  BufferPool(const BufferPool&) = delete;
-  BufferPool& operator=(const BufferPool&) = delete;
+  /// Give the bytes and the charge back; the buffer is empty afterwards.
+  void reset();
 
-  /// Borrow one buffer; returns empty span when exhausted (the exhaustion
-  /// is counted either way — prefer try_alloc() for a typed error).
-  [[nodiscard]] std::span<u8> alloc();
-
-  /// Borrow one buffer, or a retryable kResourceExhausted error when the
-  /// pool is empty. Exhaustion is expected under overload, so callers must
-  /// turn it into backpressure (kQueueFull), never treat it as fatal.
-  [[nodiscard]] Result<std::span<u8>> try_alloc();
-
-  /// Return a buffer previously obtained from alloc().
-  Status free(std::span<u8> buffer);
-
-  [[nodiscard]] u64 buffer_bytes() const { return buffer_bytes_; }
-  [[nodiscard]] u32 capacity() const { return count_; }
-  [[nodiscard]] u32 in_use() const { return in_use_; }
-  [[nodiscard]] u32 peak_in_use() const { return peak_in_use_; }
-  /// Allocation attempts that found the pool empty.
-  [[nodiscard]] u64 exhaustions() const { return exhaustions_; }
-  [[nodiscard]] u64 slab_bytes() const { return buffer_bytes_ * count_; }
-  /// True if `p` points into this pool's slab (ownership check).
-  [[nodiscard]] bool owns(const u8* p) const;
+  [[nodiscard]] u8* data() const { return data_; }
+  [[nodiscard]] u64 size() const { return size_; }
+  [[nodiscard]] std::span<u8> span() const { return {data_, size_}; }
 
  private:
-  u64 buffer_bytes_;
-  u32 count_;
-  u8* slab_ = nullptr;
-  std::vector<u32> free_list_;
-  // One bit per buffer so free() detects a double free in O(1) instead of
-  // scanning the free list.
-  std::vector<bool> in_use_map_;
-  u32 in_use_ = 0;
-  u32 peak_in_use_ = 0;
-  u64 exhaustions_ = 0;
+  friend class StagingPool;
+  StagingBuffer(StagingPool* pool, u8* data, u64 size)
+      : pool_(pool), data_(data), size_(size) {}
+
+  StagingPool* pool_ = nullptr;
+  u8* data_ = nullptr;
+  u64 size_ = 0;
 };
 
-/// Per-connection buffer manager: routes allocations to shm slots or the
-/// DPDK pool based on channel availability and the zero-copy setting.
-/// The shm side is wired in by the AfEndpoint after the handshake.
-class BufferManager {
+class StagingPool {
  public:
-  BufferManager(u64 pool_buffer_bytes, u32 pool_count)
-      : pool_(pool_buffer_bytes, pool_count) {}
+  /// `name` labels refusals; `capacity` bounds the bytes charged here at
+  /// once (0 = unlimited); `parent`, when set, is charged too.
+  StagingPool(std::string name, u64 capacity, StagingPool* parent = nullptr);
+  ~StagingPool();
+  StagingPool(const StagingPool&) = delete;
+  StagingPool& operator=(const StagingPool&) = delete;
 
-  [[nodiscard]] BufferPool& pool() { return pool_; }
-  [[nodiscard]] const BufferPool& pool() const { return pool_; }
+  /// `len` zeroed bytes charged to this pool and every ancestor, or a
+  /// retryable kResourceExhausted naming the first pool that would overflow
+  /// (only that pool counts the denial, and nothing is charged).
+  [[nodiscard]] Result<StagingBuffer> acquire(u64 len);
 
-  /// Staging buffer for one chunk (target side / TCP fallback).
-  [[nodiscard]] std::span<u8> alloc_staging() { return pool_.alloc(); }
-  /// Typed variant: kResourceExhausted (retryable) instead of a silent
-  /// empty span when the pool is dry.
-  [[nodiscard]] Result<std::span<u8>> try_alloc_staging() {
-    return pool_.try_alloc();
+  [[nodiscard]] u64 capacity() const { return capacity_; }
+  [[nodiscard]] u64 in_use() const { return in_use_; }
+  [[nodiscard]] u64 peak() const { return peak_; }
+  [[nodiscard]] u64 denied() const { return denied_; }
+  /// True when usage sits at or above `frac` of capacity (watermark test).
+  [[nodiscard]] bool above(double frac) const {
+    return capacity_ != 0 && static_cast<double>(in_use_) /
+                                     static_cast<double>(capacity_) >=
+                                 frac;
   }
-  Status free_staging(std::span<u8> b) { return pool_.free(b); }
-
-  /// Memory footprint the pool pins for this connection — the "memory
-  /// utilization" series of Fig 9.
-  [[nodiscard]] u64 pinned_bytes() const { return pool_.slab_bytes(); }
 
  private:
-  BufferPool pool_;
+  friend class StagingBuffer;
+  /// Return `len` bytes of charge up the chain and `data` to the root.
+  void release(u8* data, u64 len);
+
+  std::string name_;
+  u64 capacity_;
+  StagingPool* parent_;
+  StagingPool* root_;
+  u64 in_use_ = 0;
+  u64 peak_ = 0;
+  u64 denied_ = 0;
+  /// Root only: heads of the free lists, indexed by log2 of block size.
+  std::array<u8*, 64> free_{};
 };
 
 }  // namespace oaf::af

@@ -37,53 +37,4 @@ inline bool read_success_flag(const AfConfig& cfg, bool shm_channel_ready) {
   return shm_channel_ready && cfg.flow_control == FlowControlMode::kShmInCapsule;
 }
 
-/// Accounting for one bounded resource (staging bytes, in-flight commands,
-/// shm slots). Grants are all-or-nothing: a request that would push usage
-/// past `capacity` is denied and counted, never queued — the caller turns
-/// the denial into a retryable kQueueFull so backpressure reaches the
-/// submitter instead of growing an unbounded queue. capacity == 0 means
-/// unlimited (accounting only). Not thread-safe: one budget lives on one
-/// reactor, like the pools it guards.
-class ResourceBudget {
- public:
-  ResourceBudget() = default;
-  explicit ResourceBudget(u64 capacity) : capacity_(capacity) {}
-
-  /// Acquire `n` units; false (and a counted denial) when over budget.
-  [[nodiscard]] bool try_acquire(u64 n) {
-    if (capacity_ != 0 && in_use_ + n > capacity_) {
-      denied_++;
-      return false;
-    }
-    in_use_ += n;
-    if (in_use_ > peak_) peak_ = in_use_;
-    return true;
-  }
-
-  /// Return `n` units. Releasing more than is held clamps to zero — the
-  /// caller tracks per-owner charges, so a clamp indicates a bug there,
-  /// but the budget itself must never underflow into "infinite credit".
-  void release(u64 n) { in_use_ = n > in_use_ ? 0 : in_use_ - n; }
-
-  [[nodiscard]] u64 capacity() const { return capacity_; }
-  [[nodiscard]] u64 in_use() const { return in_use_; }
-  [[nodiscard]] u64 peak() const { return peak_; }
-  [[nodiscard]] u64 denied() const { return denied_; }
-  [[nodiscard]] double occupancy() const {
-    return capacity_ == 0 ? 0.0
-                          : static_cast<double>(in_use_) /
-                                static_cast<double>(capacity_);
-  }
-  /// True when usage sits at or above `frac` of capacity (watermark test).
-  [[nodiscard]] bool above(double frac) const {
-    return capacity_ != 0 && occupancy() >= frac;
-  }
-
- private:
-  u64 capacity_ = 0;  ///< 0 = unlimited
-  u64 in_use_ = 0;
-  u64 peak_ = 0;
-  u64 denied_ = 0;
-};
-
 }  // namespace oaf::af

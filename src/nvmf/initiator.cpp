@@ -16,6 +16,11 @@ using pdu::DataPlacement;
 using pdu::NvmeOpcode;
 using pdu::Pdu;
 
+namespace {
+constexpr DurNs kMaxBackoffNs = 1'000'000'000;  ///< reconnect backoff ceiling
+constexpr u64 kJitterSeed = 1;                  ///< reconnect jitter stream
+}  // namespace
+
 void NvmfInitiator::init_telemetry() {
   auto& m = telemetry::metrics();
   tel_.track = telemetry::tracer().track("init:" + opts_.connection_name);
@@ -72,7 +77,7 @@ NvmfInitiator::NvmfInitiator(Executor& exec, net::MsgChannel& control,
       ep_(af::Role::kClient, exec, copier, opts.af),
       governor_(opts.af.busy_poll, opts.af.static_poll_ns),
       opts_(std::move(opts)),
-      jitter_rng_(opts_.reconnect.jitter_seed),
+      jitter_rng_(kJitterSeed),
       wheel_(exec, wheel_tick_of(opts_)) {
   // Queue depth cannot exceed the cid space / slot count.
   if (opts_.queue_depth == 0) opts_.queue_depth = 1;
@@ -104,7 +109,7 @@ NvmfInitiator::NvmfInitiator(Executor& exec, ChannelFactory factory,
       ep_(af::Role::kClient, exec, copier, opts.af),
       governor_(opts.af.busy_poll, opts.af.static_poll_ns),
       opts_(std::move(opts)),
-      jitter_rng_(opts_.reconnect.jitter_seed),
+      jitter_rng_(kJitterSeed),
       wheel_(exec, wheel_tick_of(opts_)) {
   if (opts_.queue_depth == 0) opts_.queue_depth = 1;
   if (opts_.queue_depth > opts_.af.shm_slots) {
@@ -398,14 +403,8 @@ void NvmfInitiator::recover(const char* reason) {
 
 DurNs NvmfInitiator::backoff_for_attempt(u32 attempt) {
   DurNs backoff = opts_.reconnect.initial_backoff_ns;
-  for (u32 i = 1; i < attempt; ++i) {
-    backoff = static_cast<DurNs>(static_cast<double>(backoff) *
-                                 opts_.reconnect.backoff_multiplier);
-    if (backoff >= opts_.reconnect.max_backoff_ns) break;
-  }
-  if (backoff > opts_.reconnect.max_backoff_ns) {
-    backoff = opts_.reconnect.max_backoff_ns;
-  }
+  for (u32 i = 1; i < attempt && backoff < kMaxBackoffNs; ++i) backoff *= 2;
+  if (backoff > kMaxBackoffNs) backoff = kMaxBackoffNs;
   if (opts_.reconnect.jitter_frac > 0.0) {
     const double j =
         opts_.reconnect.jitter_frac * (2.0 * jitter_rng_.next_double() - 1.0);
@@ -587,7 +586,7 @@ void NvmfInitiator::send_abort(u16 victim_cid) {
   Pdu pdu;
   pdu.header = capsule;
   control_->send(std::move(pdu));
-  wheel_.arm(acid, 0, abort_deadline_ns());
+  wheel_.arm(acid, 0, opts_.command_timeout_ns);
 }
 
 void NvmfInitiator::on_abort_timeout(u16 abort_cid) {

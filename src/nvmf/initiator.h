@@ -317,21 +317,13 @@ class NvmfInitiator : public IoSession {
   void on_abort_timeout(u16 abort_cid) OAF_REQUIRES(exec_serial_);
   void on_abort_resp(u16 abort_cid, const pdu::CapsuleResp& resp) OAF_REQUIRES(exec_serial_);
   [[nodiscard]] u16 alloc_abort_cid() OAF_REQUIRES(exec_serial_);
-  /// Wheel granularity: a quarter of the shortest configured deadline, so
+  /// Wheel granularity: a quarter of the command (and abort) deadline, so
   /// expiries land at most ~25% late. Arbitrary (unused) when no timeout is
   /// configured — the wheel never ticks without armed entries anyway.
   [[nodiscard]] static DurNs wheel_tick_of(const InitiatorOptions& o) {
-    DurNs t = o.command_timeout_ns;
-    const DurNs a = o.escalation.abort_timeout_ns;
-    if (a > 0 && (t <= 0 || a < t)) t = a;
-    if (t <= 0) return 1'000'000;
-    const DurNs tick = t / 4;
+    if (o.command_timeout_ns <= 0) return 1'000'000;
+    const DurNs tick = o.command_timeout_ns / 4;
     return tick > 0 ? tick : 1;
-  }
-  [[nodiscard]] DurNs abort_deadline_ns() const {
-    return opts_.escalation.abort_timeout_ns > 0
-               ? opts_.escalation.abort_timeout_ns
-               : opts_.command_timeout_ns;
   }
   /// Consume-path failure handling: a kPeerMisbehavior from the ring
   /// demotes the data path immediately (the fencing caught a bad peer).

@@ -6,6 +6,13 @@
 
 namespace oaf::nvmf {
 
+namespace {
+/// Cross-path redrives per command before the failure is surfaced to the
+/// application. Distinct from (and stacked on top of) each path's own
+/// in-place retry budget.
+constexpr u32 kRedriveBudget = 3;
+}  // namespace
+
 void PathGroup::init_telemetry() {
   auto& m = telemetry::metrics();
   tel_.track = telemetry::tracer().track("pg:" + opts_.name);
@@ -243,7 +250,7 @@ void PathGroup::on_result(u64 gseq, const IoResult& res,
   const bool failed = it->second.op == GroupCmd::Op::kIdentify
                           ? !identified
                           : !res.ok() && redrivable(res);
-  if (failed && it->second.redrives < opts_.redrive_budget) {
+  if (failed && it->second.redrives < kRedriveBudget) {
     note_redrive(gseq, it->second);
     dispatch(gseq);  // re-selects; parks if no path is up right now
     return;

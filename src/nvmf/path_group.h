@@ -45,10 +45,6 @@ namespace oaf::nvmf {
 
 struct PathGroupOptions {
   std::string name = "pg0";
-  /// Cross-path redrives per command before the failure is surfaced to the
-  /// application. Distinct from (and stacked on top of) each path's own
-  /// in-place retry budget.
-  u32 redrive_budget = 3;
   /// Bound on the parked queue (DESIGN.md §12). A submission arriving while
   /// this many commands already wait for a path fails fast with kQueueFull
   /// instead of growing the queue without limit during a long outage.

@@ -18,13 +18,12 @@ namespace oaf::nvmf {
 struct ReconnectPolicy {
   /// Reconnect attempts per outage; 0 disables recovery entirely.
   u32 max_attempts = 0;
-  DurNs initial_backoff_ns = 1'000'000;    ///< 1 ms before the first retry
-  DurNs max_backoff_ns = 1'000'000'000;    ///< backoff ceiling (1 s)
-  double backoff_multiplier = 2.0;
-  /// Jitter as a fraction of the backoff, drawn from a deterministic
-  /// seeded stream so recovery schedules replay bit-identically.
+  /// Backoff before the first retry; each further retry doubles it, up to
+  /// a 1 s ceiling.
+  DurNs initial_backoff_ns = 1'000'000;
+  /// Jitter as a fraction of the backoff, drawn from a fixed-seed stream
+  /// so recovery schedules replay bit-identically.
   double jitter_frac = 0.1;
-  u64 jitter_seed = 1;
   /// Replay budget per command across the connection lifetime. A command
   /// that out-lives this many attempts fails with kDataTransferError.
   u32 max_command_retries = 3;
@@ -48,7 +47,8 @@ struct ReconnectPolicy {
 /// does. Disabled by default (abort_budget == 0), which keeps the legacy
 /// semantics — a deadline expiry goes straight to connection recovery (or
 /// teardown without a ReconnectPolicy). When enabled, the rungs are:
-///   deadline expires  -> send an NVMe Abort for the stuck command
+///   deadline expires  -> send an NVMe Abort for the stuck command, itself
+///                        bounded by command_timeout_ns
 ///   abort times out   -> retry, up to abort_budget aborts per command;
 ///                        after demote_after_failed_aborts consecutive
 ///                        failures on a shm data path, demote_shm()
@@ -58,8 +58,6 @@ struct EscalationPolicy {
   /// Aborts attempted per stuck command before falling back to recovery;
   /// 0 disables the ladder entirely (legacy timeout -> recover()).
   u32 abort_budget = 0;
-  /// Deadline for each Abort command itself; 0 = reuse command_timeout_ns.
-  DurNs abort_timeout_ns = 0;
   /// Consecutive abort timeouts (across commands) that demote the shm data
   /// path — aborts ride the control channel, so if they fail while shm is
   /// up, the fast path is the prime suspect.

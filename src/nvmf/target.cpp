@@ -32,7 +32,9 @@ NvmfTargetConnection::NvmfTargetConnection(Executor& exec,
       ep_(af::Role::kTarget, exec, copier, opts.af),
       governor_(opts.af.busy_poll, opts.af.static_poll_ns),
       subsystem_(subsystem),
-      opts_(std::move(opts)) {
+      opts_(std::move(opts)),
+      staging_("per-connection staging budget", opts_.max_staging_bytes,
+               opts_.global_staging) {
   last_heard_ = exec_.now();
   kato_ns_ = opts_.default_kato_ns;
   control_.set_handler([this, alive = alive_](Pdu p) {
@@ -72,11 +74,6 @@ void NvmfTargetConnection::init_telemetry() {
 
 NvmfTargetConnection::~NvmfTargetConnection() {
   *alive_ = false;
-  // The global budget outlives this connection (the service owns it);
-  // everything still charged here — in-flight and zombie alike — must flow
-  // back or a reaped association would leak target-wide capacity forever.
-  for (const auto& [cid, ctx] : inflight_) release_staging(ctx.charged);
-  for (const auto& [seq, z] : zombie_buffers_) release_staging(z.charged);
   if (ep_.shm_attached()) {
     cm_.serial()->assume_held();  // cm_ borrowed this connection's serial
     (void)cm_.release(opts_.connection_name);
@@ -215,7 +212,6 @@ void NvmfTargetConnection::retire(u16 cid) {
                             op_span_name(it->second.cmd.opcode),
                             it->second.span, exec_.now());
     record_attribution(it->second);
-    release_staging(it->second.charged);
     inflight_.erase(it);
   }
   commands_served_++;
@@ -230,7 +226,7 @@ NvmfTargetConnection::IoCtx* NvmfTargetConnection::live(u16 cid, u64 seq) {
 
 NvmfTargetConnection::IoCtx* NvmfTargetConnection::consume_done(
     u16 cid, u64 seq, const Result<u64>& got, u64 len) {
-  drop_zombie(seq);  // copy done; zombie (and its charge) can go
+  zombie_buffers_.erase(seq);  // copy done; zombie (and its charge) can go
   IoCtx* ctx = live(cid, seq);
   if (ctx == nullptr) return nullptr;  // aborted while the copy was in flight
   ctx->copies_in_flight--;
@@ -245,7 +241,7 @@ NvmfTargetConnection::IoCtx* NvmfTargetConnection::device_done(u16 cid,
                                                                u64 span) {
   telemetry::tracer().end(tel_.track, "target_io", "device", span,
                           exec_.now());
-  drop_zombie(seq);
+  zombie_buffers_.erase(seq);
   IoCtx* ctx = live(cid, seq);
   if (ctx != nullptr) ctx->device_busy = false;
   return ctx;
@@ -265,19 +261,6 @@ void NvmfTargetConnection::reject_queue_full(u16 cid, u16 gen,
   Pdu pdu;
   pdu.header = resp;
   control_.send(std::move(pdu));
-}
-
-void NvmfTargetConnection::release_staging(u64 n) {
-  if (n == 0) return;
-  staging_bytes_ = n > staging_bytes_ ? 0 : staging_bytes_ - n;
-  if (opts_.global_staging != nullptr) opts_.global_staging->release(n);
-}
-
-void NvmfTargetConnection::drop_zombie(u64 seq) {
-  const auto it = zombie_buffers_.find(seq);
-  if (it == zombie_buffers_.end()) return;
-  release_staging(it->second.charged);
-  zombie_buffers_.erase(it);
 }
 
 DurNs NvmfTargetConnection::oldest_inflight_age(TimeNs now) const {
@@ -392,37 +375,34 @@ void NvmfTargetConnection::on_capsule(Pdu pdu) {
   // flush/identify/abort are admitted freely (they are how a congested
   // host drains). An unknown namespace skips admission — the ordinary
   // kInvalidNamespace path below answers it.
-  u64 admit_charge = 0;
+  af::StagingBuffer staging;
   if (capsule.cmd.is_read() || capsule.cmd.is_write()) {
     ssd::Device* adm_dev = subsystem_.find(capsule.cmd.nsid);
     if (adm_dev != nullptr) {
-      const u64 len = capsule.cmd.data_bytes(adm_dev->block_size());
       if (opts_.max_inflight_cmds != 0 &&
           inflight_.size() >= opts_.max_inflight_cmds) {
         reject_queue_full(cid, capsule.gen, "per-connection inflight cap");
         return;
       }
-      if (opts_.max_staging_bytes != 0 &&
-          staging_bytes_ + len > opts_.max_staging_bytes) {
-        reject_queue_full(cid, capsule.gen, "per-connection staging budget");
+      // The DPDK-managed staging buffer the device DMA-copies to or from;
+      // for writes, the copy from shm into it is the one the paper says
+      // cannot be avoided (§4.4.3).
+      auto got =
+          staging_.acquire(capsule.cmd.data_bytes(adm_dev->block_size()));
+      if (!got) {
+        reject_queue_full(cid, capsule.gen, got.status().message().c_str());
         return;
       }
-      if (opts_.global_staging != nullptr &&
-          !opts_.global_staging->try_acquire(len)) {
-        reject_queue_full(cid, capsule.gen, "global staging budget");
-        return;
-      }
-      staging_bytes_ += len;
-      admit_charge = len;
+      staging = std::move(got).take();
     }
   }
 
   IoCtx& ctx = inflight_[cid];
   ctx.cmd = capsule.cmd;
+  ctx.buffer = std::move(staging);
   ctx.arrival = exec_.now();
   ctx.gen = capsule.gen;
   ctx.seq = next_ctx_seq_++;
-  ctx.charged = admit_charge;
   // Trace stitching: adopt the host's trace id as this command's span id so
   // both processes' spans share one async id in the merged timeline. The
   // local seq stays the fencing token — the wire id is host-controlled and
@@ -453,10 +433,6 @@ void NvmfTargetConnection::on_capsule(Pdu pdu) {
         send_resp(cid, {cid, NvmeStatus::kInvalidField, 0}, 0);
         return;
       }
-      // The DPDK-managed staging buffer the device DMA-copies from; the
-      // copy from shm into this buffer is the one the paper says cannot be
-      // avoided (§4.4.3).
-      ctx.buffer.resize(len);
 
       if (capsule.in_capsule_data) {
         ctx.ledger.enter(telemetry::Stage::kXfer, exec_.now());
@@ -470,7 +446,7 @@ void NvmfTargetConnection::on_capsule(Pdu pdu) {
           const TimeNs copy_start = exec_.now();
           ctx.copies_in_flight++;
           ep_.consume_payload(
-              capsule.shm_slot, ctx.buffer,
+              capsule.shm_slot, ctx.buffer.span(),
               [this, alive = alive_, cid, seq = ctx.seq, len,
                copy_start](Result<u64> got) {
                 exec_serial_.assume_held();  // consume posts on the reactor
@@ -547,9 +523,8 @@ void NvmfTargetConnection::handle_abort(u16 cid) {
     if (vctx.device_busy || vctx.copies_in_flight > 0) {
       // The device (or an in-flight shm copy) still references the staging
       // buffer; park it with the zombie until that completion fires. The
-      // budget charge moves with it — the memory is still pinned.
-      zombie_buffers_[vctx.seq] = {std::move(vctx.buffer), vctx.charged};
-      vctx.charged = 0;
+      // charge moves with it — the memory is still pinned.
+      zombie_buffers_[vctx.seq] = std::move(vctx.buffer);
     } else if (ep_.shm_attached()) {
       // Waiting on data: drop whatever the victim parked in its slot so the
       // next command to use it starts clean.
@@ -652,7 +627,7 @@ void NvmfTargetConnection::start_device_write(u16 cid) {
   telemetry::tracer().begin(tel_.track, "target_io", "device", ctx.span,
                             exec_.now(), "bytes",
                             static_cast<i64>(ctx.buffer.size()));
-  device->submit_write(ctx.cmd, ctx.buffer,
+  device->submit_write(ctx.cmd, ctx.buffer.span(),
                        [this, alive = alive_, cid, seq = ctx.seq,
                         span = ctx.span](pdu::NvmeCpl cpl, DurNs io_time) {
                          exec_serial_.assume_held();  // device completes here
@@ -670,13 +645,12 @@ void NvmfTargetConnection::handle_read(u16 cid) {
   if (it == inflight_.end()) return;
   IoCtx& ctx = it->second;
   ssd::Device* device = subsystem_.find(ctx.cmd.nsid);
-  const u64 len = ctx.cmd.data_bytes(device->block_size());
-  ctx.buffer.resize(len);
   ctx.device_busy = true;
   ctx.ledger.enter(telemetry::Stage::kDevice, exec_.now());
   telemetry::tracer().begin(tel_.track, "target_io", "device", ctx.span,
-                            exec_.now(), "bytes", static_cast<i64>(len));
-  device->submit_read(ctx.cmd, ctx.buffer,
+                            exec_.now(), "bytes",
+                            static_cast<i64>(ctx.buffer.size()));
+  device->submit_read(ctx.cmd, ctx.buffer.span(),
                       [this, alive = alive_, cid, seq = ctx.seq,
                        span = ctx.span](pdu::NvmeCpl cpl, DurNs io_time) {
                         exec_serial_.assume_held();  // device completes here
@@ -705,7 +679,7 @@ void NvmfTargetConnection::finish_read(IoCtx& ctx, pdu::NvmeCpl cpl,
       // notification with the SUCCESS flag closes the command (§4.4.2).
       const TimeNs copy_start = exec_.now();
       const Status st = ep_.stage_payload(
-          cid, ctx.buffer,
+          cid, ctx.buffer.span(),
           [this, alive = alive_, cid, seq = ctx.seq, io_time, copy_start] {
             exec_serial_.assume_held();
             if (!*alive) return;
@@ -763,9 +737,8 @@ void NvmfTargetConnection::finish_read(IoCtx& ctx, pdu::NvmeCpl cpl,
       c2h.target_time_ns = target_time(ctx, io_time);
     }
     Pdu pdu;
-    pdu.payload.assign(ctx.buffer.begin() + static_cast<std::ptrdiff_t>(c.offset),
-                       ctx.buffer.begin() +
-                           static_cast<std::ptrdiff_t>(c.offset + c.length));
+    pdu.payload.assign(ctx.buffer.data() + c.offset,
+                       ctx.buffer.data() + c.offset + c.length);
     if (data_digest_) {
       c2h.data_digest = pdu::crc32c(
           std::span<const u8>(pdu.payload.data(), pdu.payload.size()));

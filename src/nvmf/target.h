@@ -20,11 +20,11 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "af/buffer_manager.h"
 #include "af/busy_poll.h"
 #include "af/config.h"
 #include "af/connection_manager.h"
 #include "af/exec_serial.h"
-#include "af/flow_control.h"
 #include "af/endpoint.h"
 #include "net/channel.h"
 #include "ssd/namespace.h"
@@ -48,9 +48,9 @@ struct TargetOptions {
   /// Per-connection cap on staging-buffer bytes held by in-flight (and
   /// zombie) commands; 0 = unlimited.
   u64 max_staging_bytes = 0;
-  /// Shared target-wide staging budget, owned by NvmfTargetService and
-  /// outliving every connection. Null = no global budget.
-  af::ResourceBudget* global_staging = nullptr;
+  /// Parent of the connection's staging pool: the service's target-wide
+  /// pool, which outlives every connection. Null = no global budget.
+  af::StagingPool* global_staging = nullptr;
   /// Connect-time admission control: when set, the connection answers the
   /// ICReq with an ICResp carrying admitted=false (plus the reason and
   /// retry hint below) and closes — the service creates reject-mode
@@ -129,7 +129,7 @@ class NvmfTargetConnection {
   }
   /// Staging bytes currently charged to this association (incl. zombies).
   [[nodiscard]] u64 staging_bytes() const OAF_REQUIRES_SHARED(exec_serial_) {
-    return staging_bytes_;
+    return staging_.in_use();
   }
   /// Age of the oldest in-flight command, 0 when idle. A connection whose
   /// oldest command is stuck past the service's stall watermark is a slow
@@ -206,7 +206,7 @@ class NvmfTargetConnection {
   /// Per-command transfer context (conservative-flow writes and reads).
   struct IoCtx {
     pdu::NvmeCmd cmd;
-    std::vector<u8> buffer;   ///< contiguous staging for the device
+    af::StagingBuffer buffer; ///< staging for the device, and its charge
     u64 bytes_received = 0;   ///< write reassembly progress
     TimeNs arrival = 0;       ///< capsule arrival time (target_time base)
     DurNs copy_wait = 0;      ///< data-path (shm copy) residency — reported
@@ -219,8 +219,6 @@ class NvmfTargetConnection {
                               ///< Never used for fencing — only for tracing.
     bool device_busy = false; ///< the device holds `buffer` right now
     u32 copies_in_flight = 0; ///< shm consumes targeting `buffer` right now
-    u64 charged = 0;          ///< staging bytes charged against the budgets;
-                              ///< moves to the zombie entry on abort
     telemetry::StageLedger ledger;  ///< target-side stage attribution
   };
 
@@ -270,10 +268,6 @@ class NvmfTargetConnection {
   /// creating an IoCtx (the whole point is to allocate nothing).
   void reject_queue_full(u16 cid, u16 gen, const char* why)
       OAF_REQUIRES(exec_serial_);
-  /// Return `n` staging bytes to the per-connection and global budgets.
-  void release_staging(u64 n) OAF_REQUIRES(exec_serial_);
-  /// Drop an aborted command's parked buffer and return its charge.
-  void drop_zombie(u64 seq) OAF_REQUIRES(exec_serial_);
 
   [[nodiscard]] u64 target_time(const IoCtx& ctx, DurNs io_time) const
       OAF_REQUIRES_SHARED(exec_serial_);
@@ -291,6 +285,9 @@ class NvmfTargetConnection {
   ssd::Subsystem& subsystem_;
   TargetOptions opts_;
 
+  /// Admits and provides every command's staging bytes. Declared before
+  /// every holder of its buffers, so they all release into a live pool.
+  af::StagingPool staging_ OAF_GUARDED_BY(exec_serial_);
   std::unordered_map<u16, IoCtx> inflight_ OAF_GUARDED_BY(exec_serial_);
   /// Cids whose command was aborted while transfer PDUs could still be in
   /// flight: late H2CData for them is discarded instead of terminating the
@@ -298,12 +295,8 @@ class NvmfTargetConnection {
   std::unordered_set<u16> recently_aborted_ OAF_GUARDED_BY(exec_serial_);
   /// Staging buffers of aborted commands whose device I/O is still running;
   /// keyed by ctx seq and dropped when the (swallowed) completion fires.
-  /// The budget charge travels with the buffer: the memory is still pinned.
-  struct ZombieBuffer {
-    std::vector<u8> buffer;
-    u64 charged = 0;
-  };
-  std::unordered_map<u64, ZombieBuffer> zombie_buffers_
+  /// The charge travels with the buffer: the memory is still pinned.
+  std::unordered_map<u64, af::StagingBuffer> zombie_buffers_
       OAF_GUARDED_BY(exec_serial_);
   u64 next_ctx_seq_ OAF_GUARDED_BY(exec_serial_) = 1;
   TimeNs last_heard_ OAF_GUARDED_BY(exec_serial_) = 0;
@@ -317,8 +310,6 @@ class NvmfTargetConnection {
   /// association reaper destroying this connection while they are queued.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
-  u64 staging_bytes_
-      OAF_GUARDED_BY(exec_serial_) = 0;  ///< live per-connection charge
   bool evicted_ OAF_GUARDED_BY(exec_serial_) = false;
 
   u64 commands_served_ OAF_GUARDED_BY(exec_serial_) = 0;

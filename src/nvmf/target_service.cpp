@@ -21,7 +21,7 @@ NvmfTargetService::NvmfTargetService(Executor& exec, net::Copier& copier,
       broker_(broker),
       subsystem_(subsystem),
       opts_(std::move(opts)),
-      global_staging_(opts_.global_staging_bytes) {
+      global_staging_("global staging budget", opts_.global_staging_bytes) {
   auto& m = telemetry::metrics();
   tel_reaped_ = m.counter("oaf_target_associations_reaped_total",
                           "Associations garbage-collected (closed channel, "

@@ -118,8 +118,8 @@ class NvmfTargetService {
   }
 
   // --- overload protection ---------------------------------------------
-  /// The target-wide staging budget every association draws from.
-  [[nodiscard]] const af::ResourceBudget& global_staging() const {
+  /// The target-wide staging pool every association draws from.
+  [[nodiscard]] const af::StagingPool& global_staging() const {
     return global_staging_;
   }
   /// Handshakes turned away at the max_conns cap.
@@ -162,6 +162,9 @@ class NvmfTargetService {
   ssd::Subsystem& subsystem_;
   TargetServiceOptions opts_;
 
+  /// Parent of every association's staging pool. Declared before assocs_:
+  /// each ~NvmfTargetConnection returns its buffers into it.
+  af::StagingPool global_staging_;
   std::vector<Assoc> assocs_;
   u64 reaped_ = 0;
   u64 retired_commands_ = 0;  // served by since-reaped associations
@@ -170,9 +173,6 @@ class NvmfTargetService {
   u64 reaper_epoch_ = 0;  // invalidates queued ticks on shutdown
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
-  /// Target-wide staging budget (capacity from global_staging_bytes); every
-  /// association holds a pointer into it via TargetOptions.global_staging.
-  af::ResourceBudget global_staging_;
   u64 connects_rejected_ = 0;
   u64 evictions_ = 0;
 

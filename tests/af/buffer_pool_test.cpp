@@ -1,152 +1,136 @@
+// The target's staging pool (af/buffer_manager.h): admission bounds, the
+// parent chain, and the buffer lifecycle that releases each charge once.
 #include "af/buffer_manager.h"
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 namespace oaf::af {
 namespace {
 
-TEST(BufferPoolTest, AllocUpToCapacity) {
-  BufferPool pool(4096, 4);
-  std::vector<std::span<u8>> bufs;
-  for (int i = 0; i < 4; ++i) {
-    auto b = pool.alloc();
-    ASSERT_FALSE(b.empty());
-    EXPECT_GE(b.size(), 4096u);
-    bufs.push_back(b);
+TEST(StagingPoolTest, ChargesUpToCapacity) {
+  StagingPool pool("pool", 100);
+  auto a = pool.acquire(60);
+  auto b = pool.acquire(40);
+  ASSERT_TRUE(a);
+  ASSERT_TRUE(b);
+  EXPECT_EQ(a.value().size(), 60u);
+  EXPECT_EQ(b.value().size(), 40u);
+  EXPECT_EQ(pool.in_use(), 100u);
+  EXPECT_EQ(pool.peak(), 100u);
+  a.value().reset();
+  EXPECT_EQ(pool.in_use(), 40u);
+  auto c = pool.acquire(30);
+  ASSERT_TRUE(c);
+  EXPECT_EQ(pool.in_use(), 70u);
+  EXPECT_EQ(pool.peak(), 100u);  // peak is sticky
+  EXPECT_EQ(pool.denied(), 0u);
+}
+
+TEST(StagingPoolTest, RefusalIsTypedNamedAndCounted) {
+  StagingPool pool("conn budget", 4096);
+  auto held = pool.acquire(4096);
+  ASSERT_TRUE(held);
+  auto refused = pool.acquire(1);
+  ASSERT_FALSE(refused);
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(refused.status().message(), "conn budget");
+  EXPECT_EQ(pool.denied(), 1u);
+  EXPECT_EQ(pool.in_use(), 4096u);  // a refusal charges nothing
+}
+
+TEST(StagingPoolTest, CapacityZeroIsUnlimited) {
+  StagingPool pool("pool", 0);
+  auto a = pool.acquire(1u << 20);
+  auto b = pool.acquire(1u << 20);
+  ASSERT_TRUE(a);
+  ASSERT_TRUE(b);
+  EXPECT_EQ(pool.in_use(), 2u << 20);
+  EXPECT_EQ(pool.denied(), 0u);
+  EXPECT_FALSE(pool.above(0.0));  // no capacity, no watermark
+}
+
+TEST(StagingPoolTest, WatermarkIsAFractionOfCapacity) {
+  StagingPool pool("pool", 10);
+  auto held = pool.acquire(9);
+  ASSERT_TRUE(held);
+  EXPECT_TRUE(pool.above(0.9));
+  EXPECT_FALSE(pool.above(0.95));
+  held.value().reset();
+  EXPECT_FALSE(pool.above(0.1));
+}
+
+TEST(StagingPoolTest, ChargesTheParentAndARefusalChargesNothing) {
+  StagingPool global("global", 8192);
+  StagingPool a("conn a", 8192, &global);
+  StagingPool b("conn b", 2048, &global);
+  auto held = a.acquire(6144);
+  ASSERT_TRUE(held);
+  EXPECT_EQ(global.in_use(), 6144u);
+
+  // b's own budget refuses first: only b counts it, nobody is charged.
+  auto own = b.acquire(4096);
+  ASSERT_FALSE(own);
+  EXPECT_EQ(own.status().message(), "conn b");
+  EXPECT_EQ(b.denied(), 1u);
+  EXPECT_EQ(global.denied(), 0u);
+
+  // Fill the parent through b. Then a has room of its own but the parent
+  // does not: the parent refuses and counts it, and a is left uncharged.
+  auto fill = b.acquire(2048);
+  EXPECT_TRUE(fill);
+  auto over = a.acquire(2048);
+  ASSERT_FALSE(over);
+  EXPECT_EQ(over.status().message(), "global");
+  EXPECT_EQ(global.denied(), 1u);
+  EXPECT_EQ(a.denied(), 0u);
+  EXPECT_EQ(a.in_use(), 6144u);
+  EXPECT_EQ(global.in_use(), 8192u);
+  EXPECT_EQ(global.peak(), 8192u);
+}
+
+TEST(StagingPoolTest, MoveOnlyBufferReleasesExactlyOnce) {
+  StagingPool global("global", 0);
+  StagingPool conn("conn", 0, &global);
+  {
+    StagingBuffer outer;
+    {
+      StagingBuffer inner = conn.acquire(4096).take();
+      EXPECT_EQ(conn.in_use(), 4096u);
+      outer = std::move(inner);
+      EXPECT_EQ(inner.size(), 0u);  // NOLINT(bugprone-use-after-move)
+    }  // the moved-from buffer holds nothing to give back
+    EXPECT_EQ(conn.in_use(), 4096u);
+    EXPECT_EQ(global.in_use(), 4096u);
+    StagingBuffer moved(std::move(outer));
+    moved.reset();
+    EXPECT_EQ(conn.in_use(), 0u);
+    moved.reset();  // a second reset gives nothing back
+    EXPECT_EQ(global.in_use(), 0u);
+    outer = conn.acquire(512).take();
+  }  // destruction releases like reset()
+  EXPECT_EQ(conn.in_use(), 0u);
+  EXPECT_EQ(global.in_use(), 0u);
+  EXPECT_EQ(global.peak(), 4096u);
+}
+
+TEST(StagingPoolTest, RecycledBytesComeBackZeroed) {
+  StagingPool global("global", 0);
+  StagingPool conn("conn", 0, &global);
+  const u8* first = nullptr;
+  {
+    StagingBuffer b = conn.acquire(32 * 1024).take();
+    first = b.data();
+    std::memset(b.data(), 0xAB, b.size());
   }
-  EXPECT_TRUE(pool.alloc().empty());  // exhausted
-  EXPECT_EQ(pool.in_use(), 4u);
-  EXPECT_EQ(pool.peak_in_use(), 4u);
-  for (auto& b : bufs) ASSERT_TRUE(pool.free(b));
-  EXPECT_EQ(pool.in_use(), 0u);
-}
-
-TEST(BufferPoolTest, BuffersAreDisjointAndAligned) {
-  BufferPool pool(1000, 8, 4096);
-  std::set<const u8*> starts;
-  std::vector<std::span<u8>> bufs;
-  for (int i = 0; i < 8; ++i) {
-    auto b = pool.alloc();
-    ASSERT_FALSE(b.empty());
-    starts.insert(b.data());
-    bufs.push_back(b);
-  }
-  EXPECT_EQ(starts.size(), 8u);
-  // Buffer size rounds to 64B multiple; first buffer is page-aligned.
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(*starts.begin()) % 4096, 0u);
-  // Spans do not overlap.
-  std::vector<std::pair<const u8*, const u8*>> ranges;
-  ranges.reserve(bufs.size());
-  for (auto& b : bufs) ranges.emplace_back(b.data(), b.data() + b.size());
-  std::sort(ranges.begin(), ranges.end());
-  for (size_t i = 1; i < ranges.size(); ++i) {
-    EXPECT_LE(ranges[i - 1].second, ranges[i].first);
-  }
-}
-
-TEST(BufferPoolTest, FreeValidation) {
-  BufferPool pool(4096, 2);
-  auto b = pool.alloc();
-  ASSERT_FALSE(b.empty());
-
-  std::vector<u8> foreign(4096);
-  EXPECT_FALSE(pool.free(foreign));                     // not from this pool
-  EXPECT_FALSE(pool.free(std::span<u8>{}));             // null
-  EXPECT_FALSE(pool.free(b.subspan(1)));                // misaligned interior
-  ASSERT_TRUE(pool.free(b));
-  EXPECT_FALSE(pool.free(b));                           // double free
-}
-
-TEST(BufferPoolTest, ReuseAfterFree) {
-  BufferPool pool(4096, 1);
-  auto a = pool.alloc();
-  ASSERT_FALSE(a.empty());
-  const u8* addr = a.data();
-  ASSERT_TRUE(pool.free(a));
-  auto b = pool.alloc();
-  EXPECT_EQ(b.data(), addr);  // buffer reuse (paper: Buffer Manager re-uses)
-}
-
-TEST(BufferPoolTest, DoubleFreeDetectedAfterRefill) {
-  // Regression for the in-use bitmap: the old free-list scan only caught a
-  // double free while the index was still on the list. Freeing, re-filling
-  // the list through other buffers, and freeing again must still fail —
-  // the bitmap says the buffer is not outstanding, whatever the list holds.
-  BufferPool pool(4096, 3);
-  auto a = pool.alloc();
-  auto b = pool.alloc();
-  auto c = pool.alloc();
-  ASSERT_FALSE(a.empty());
-  ASSERT_TRUE(pool.free(a));
-  ASSERT_TRUE(pool.free(b));
-  ASSERT_TRUE(pool.free(c));
-  const Status again = pool.free(a);
-  EXPECT_FALSE(again);
-  EXPECT_EQ(again.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(pool.in_use(), 0u);
-  // The pool is still coherent: all three buffers come back out.
-  EXPECT_FALSE(pool.alloc().empty());
-  EXPECT_FALSE(pool.alloc().empty());
-  EXPECT_FALSE(pool.alloc().empty());
-  EXPECT_TRUE(pool.alloc().empty());
-}
-
-TEST(BufferPoolTest, ExhaustionIsCountedAndTyped) {
-  BufferPool pool(4096, 1);
-  auto a = pool.alloc();
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(pool.exhaustions(), 0u);
-  EXPECT_TRUE(pool.alloc().empty());
-  EXPECT_EQ(pool.exhaustions(), 1u);
-  const auto r = pool.try_alloc();
-  ASSERT_FALSE(r.is_ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(pool.exhaustions(), 2u);
-  ASSERT_TRUE(pool.free(a));
-  const auto ok = pool.try_alloc();
-  ASSERT_TRUE(ok.is_ok());
-  EXPECT_FALSE(ok.value().empty());
-  EXPECT_EQ(pool.exhaustions(), 2u);  // success does not count
-}
-
-TEST(BufferManagerTest, TryAllocStagingSurfacesExhaustion) {
-  BufferManager mgr(4096, 1);
-  auto held = mgr.try_alloc_staging();
-  ASSERT_TRUE(held.is_ok());
-  const auto dry = mgr.try_alloc_staging();
-  ASSERT_FALSE(dry.is_ok());
-  EXPECT_EQ(dry.status().code(), StatusCode::kResourceExhausted);
-  ASSERT_TRUE(mgr.free_staging(held.value()));
-  EXPECT_TRUE(mgr.try_alloc_staging().is_ok());
-}
-
-TEST(BufferPoolTest, OwnsChecksBounds) {
-  BufferPool pool(4096, 2);
-  auto b = pool.alloc();
-  EXPECT_TRUE(pool.owns(b.data()));
-  EXPECT_TRUE(pool.owns(b.data() + 100));
-  std::vector<u8> other(16);
-  EXPECT_FALSE(pool.owns(other.data()));
-}
-
-TEST(BufferManagerTest, PinnedBytesTracksChunkGeometry) {
-  // Fig 9's memory-utilization series: the pool pins chunk_bytes * count.
-  BufferManager small(128 * 1024, 16);
-  BufferManager large(2 * 1024 * 1024, 16);
-  EXPECT_EQ(small.pinned_bytes(), 128u * 1024 * 16);
-  EXPECT_EQ(large.pinned_bytes(), 2u * 1024 * 1024 * 16);
-  EXPECT_GT(large.pinned_bytes(), small.pinned_bytes());
-}
-
-TEST(BufferManagerTest, StagingAllocRoundtrip) {
-  BufferManager mgr(4096, 4);
-  auto b = mgr.alloc_staging();
-  ASSERT_FALSE(b.empty());
-  EXPECT_EQ(mgr.pool().in_use(), 1u);
-  ASSERT_TRUE(mgr.free_staging(b));
-  EXPECT_EQ(mgr.pool().in_use(), 0u);
+  // Same size class: the root hands the same storage back, wiped.
+  StagingBuffer again = conn.acquire(20 * 1024).take();
+  EXPECT_EQ(again.data(), first);
+  const std::vector<u8> zeros(again.size(), 0);
+  EXPECT_EQ(std::memcmp(again.data(), zeros.data(), zeros.size()), 0);
 }
 
 }  // namespace

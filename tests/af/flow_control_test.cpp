@@ -63,38 +63,5 @@ TEST(FlowControlTest, CustomThreshold) {
   EXPECT_FALSE(write_in_capsule(cfg, false, 16 * 1024 + 1));
 }
 
-TEST(ResourceBudgetTest, AcquireReleaseAndDenials) {
-  ResourceBudget b(100);
-  EXPECT_TRUE(b.try_acquire(60));
-  EXPECT_TRUE(b.try_acquire(40));
-  EXPECT_EQ(b.in_use(), 100u);
-  EXPECT_EQ(b.peak(), 100u);
-  EXPECT_FALSE(b.try_acquire(1));  // over budget
-  EXPECT_EQ(b.denied(), 1u);
-  b.release(40);
-  EXPECT_TRUE(b.try_acquire(30));
-  EXPECT_EQ(b.in_use(), 90u);
-  EXPECT_EQ(b.peak(), 100u);  // peak is sticky
-}
-
-TEST(ResourceBudgetTest, UnlimitedWhenCapacityZero) {
-  ResourceBudget b;  // capacity 0 = unlimited
-  EXPECT_TRUE(b.try_acquire(1u << 30));
-  EXPECT_TRUE(b.try_acquire(1u << 30));
-  EXPECT_EQ(b.denied(), 0u);
-  EXPECT_EQ(b.occupancy(), 0.0);
-  EXPECT_FALSE(b.above(0.5));
-}
-
-TEST(ResourceBudgetTest, WatermarkAndUnderflowClamp) {
-  ResourceBudget b(10);
-  EXPECT_TRUE(b.try_acquire(9));
-  EXPECT_TRUE(b.above(0.9));
-  EXPECT_FALSE(b.above(0.95));
-  b.release(100);  // caller bug: must clamp, never wrap
-  EXPECT_EQ(b.in_use(), 0u);
-  EXPECT_FALSE(b.above(0.1));
-}
-
 }  // namespace
 }  // namespace oaf::af

@@ -1,16 +1,18 @@
 // Model-checked invariants of the target's staging-budget grant/release
 // protocol (DESIGN.md §12).
 //
-// The target charges a command's full transfer length against per-connection
-// and global budgets at admission, carries the charge on the IoCtx, moves it
-// onto the zombie buffer when an abort orphans the staging buffer, and
-// releases it at exactly one of: command completion (erase_inflight), zombie
-// reclamation (drop_zombie), or connection teardown (the destructor sweep).
-// The events are serialized by the connection's executor but can arrive in
-// any order; the models below prove that under every ordering the budget is
-// never over-granted past capacity, every admitted charge is released
-// exactly once (no leak, no double credit), and an abort/teardown racing a
-// completion never strands or duplicates a charge.
+// At admission the target charges a command's full transfer length to its
+// connection's staging pool and that pool's service-wide parent, both or
+// neither (af::StagingPool::acquire). The charge lives in the StagingBuffer
+// the command holds; an abort that orphans the buffer moves it into the
+// zombie map. Destroying the buffer is the one release, whichever comes
+// first of: the command retiring, its zombie entry being erased, or the
+// connection being torn down. The events are serialized by the connection's
+// executor but can arrive in any order; the models below prove that under
+// every ordering the budget is never over-granted past capacity, every
+// admitted charge is released exactly once (no leak, no double credit), and
+// an abort/teardown racing a completion never strands or duplicates a
+// charge.
 #include <gtest/gtest.h>
 
 #include "chk/atomic.h"

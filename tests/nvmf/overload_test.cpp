@@ -134,7 +134,7 @@ TEST(OverloadTest, GlobalStagingBudgetIsNeverExceededAndFullyReleased) {
 
   EXPECT_EQ(ok, 20);
   EXPECT_EQ(failed, 0);
-  const af::ResourceBudget& budget = h.service->global_staging();
+  const af::StagingPool& budget = h.service->global_staging();
   EXPECT_LE(budget.peak(), budget.capacity());
   EXPECT_EQ(budget.in_use(), 0u);
   EXPECT_GT(budget.denied(), 0u);
@@ -324,6 +324,37 @@ TEST(OverloadTest, SlowClientIsEvictedAndChargesReturn) {
   EXPECT_EQ(ok, 1);
   EXPECT_EQ(failed, 0);
   EXPECT_EQ(h.service->global_staging().in_use(), 0u);
+}
+
+TEST(OverloadTest, DestroyingAServiceThatHoldsStagingIsClean) {
+  // Every association returns its staging into the service's pool as it is
+  // destroyed, so that pool must outlive them all. Tear the service down
+  // while a parked write still holds recycled staging: a release into a
+  // pool that is already gone is what the sanitizer jobs would report.
+  TargetServiceOptions sopts;
+  OverloadHarness h(sopts);
+  NvmfInitiator* init = h.add_initiator(storm_opts("parked", 4));
+  init->connect([](Status) {});
+  h.sched.run();
+  ASSERT_TRUE(init->connected());
+
+  // A completed write leaves its storage on the pool's free list, in the
+  // size class the parked write below reuses.
+  std::vector<u8> data(32768, 0x5A);  // 32 KiB: beyond in-capsule, needs H2C
+  bool ok = false;
+  init->write(1, 0, data, [&](NvmfInitiator::IoResult r) { ok = r.ok(); });
+  h.sched.run();
+  ASSERT_TRUE(ok);
+  ASSERT_EQ(h.service->global_staging().in_use(), 0u);
+
+  // The next write is admitted but its data never arrives, so it parks on
+  // the recycled storage.
+  h.client_ch->set_fault(
+      [](pdu::Pdu& p) { return p.type() != pdu::PduType::kH2CData; });
+  init->write(1, 64, data, [](NvmfInitiator::IoResult) {});
+  h.sched.run();
+  ASSERT_EQ(h.service->global_staging().in_use(), 32768u);
+  h.service.reset();
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 // surface a (possibly hostile) remote peer controls.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "af/locality.h"
 #include "net/sim_channel.h"
 #include "nvmf/target.h"
@@ -269,6 +272,71 @@ TEST(TargetUnitTest, H2CWrappingOffsetRejectedPerCommand) {
   ASSERT_NE(resp, nullptr);
   EXPECT_EQ(resp->cpl.status, pdu::NvmeStatus::kDataTransferError);
   EXPECT_EQ(h.target->inflight_now(), 0u);
+}
+
+TEST(TargetUnitTest, StagingHoleReachesTheDeviceAsZeros) {
+  // Two H2CData chunks both at offset 0 each fit the staging buffer and
+  // together reach its length, so its second half is never written. That
+  // hole must reach the device as zeros, never as the bytes an earlier
+  // command left in recycled staging.
+  TargetHarness h;
+  h.send(icreq(1, false));
+  auto r2t_write = [&h](u16 cid, u64 slba) {
+    pdu::CapsuleCmd cmd;
+    cmd.cmd.opcode = pdu::NvmeOpcode::kWrite;
+    cmd.cmd.cid = cid;
+    cmd.cmd.nsid = 1;
+    cmd.cmd.slba = slba;
+    cmd.cmd.nlb = 63;  // 32 KiB > 8 KiB threshold: R2T flow
+    cmd.data_len = 64 * 512;
+    pdu::Pdu p;
+    p.header = cmd;
+    h.send(std::move(p));
+  };
+  auto h2c = [&h](u16 cid, u64 offset, u8 fill) {
+    pdu::H2CData d;
+    d.cid = cid;
+    d.offset = offset;
+    d.length = 16 * 1024;
+    pdu::Pdu p;
+    p.header = d;
+    p.payload.assign(16 * 1024, fill);
+    h.send(std::move(p));
+  };
+  r2t_write(1, 0);
+  h2c(1, 0, 0xAB);
+  h2c(1, 16 * 1024, 0xAB);
+  r2t_write(2, 64);
+  h2c(2, 0, 0xCD);
+  h2c(2, 0, 0xCD);
+  int ok = 0;
+  for (const auto& p : h.received) {
+    if (const auto* r = p.as<pdu::CapsuleResp>()) ok += r->cpl.ok() ? 1 : 0;
+  }
+  ASSERT_EQ(ok, 2);
+  h.received.clear();
+
+  pdu::CapsuleCmd read;
+  read.cmd.opcode = pdu::NvmeOpcode::kRead;
+  read.cmd.cid = 3;
+  read.cmd.nsid = 1;
+  read.cmd.slba = 64;
+  read.cmd.nlb = 63;
+  pdu::Pdu p;
+  p.header = read;
+  h.send(std::move(p));
+
+  std::vector<u8> data(32 * 1024, 0xEE);
+  for (const auto& d : h.received) {
+    if (const auto* c2h = d.as<pdu::C2HData>()) {
+      ASSERT_TRUE(pdu::range_fits(c2h->offset, d.payload.size(), data.size()));
+      std::copy(d.payload.begin(), d.payload.end(),
+                data.begin() + static_cast<std::ptrdiff_t>(c2h->offset));
+    }
+  }
+  for (u64 i = 0; i < data.size(); ++i) {
+    ASSERT_EQ(data[i], i < 16 * 1024 ? 0xCD : 0x00) << "byte " << i;
+  }
 }
 
 TEST(TargetUnitTest, IdentifyReportsGeometry) {

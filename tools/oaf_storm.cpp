@@ -317,7 +317,7 @@ int main(int argc, char** argv) {
     queue_full_received += init->resilience().queue_full_received;
     queue_full_retries += init->resilience().queue_full_retries;
   }
-  const af::ResourceBudget& budget = service.global_staging();
+  const af::StagingPool& budget = service.global_staging();
 
   u64 invariants_failed = 0;
   auto check = [&](bool okay, const char* what) {
