@@ -18,12 +18,6 @@ enum class FlowControlMode {
   kShmInCapsule,
 };
 
-/// How the shared-memory channel is accessed (ablation levers, Fig 8).
-enum class ShmAccessMode {
-  kLocked,    ///< SHM-baseline: one staging buffer behind a spinlock
-  kLockFree,  ///< lock-free double-buffer ring (§4.4.1)
-};
-
 /// Busy-poll policy for the TCP channel (paper §4.5 / Fig 10).
 enum class BusyPollPolicy {
   kInterrupt,  ///< stock: no polling
@@ -34,7 +28,6 @@ enum class BusyPollPolicy {
 struct AfConfig {
   // --- shared-memory channel ---
   bool want_shm = true;              ///< request the shm channel when co-located
-  ShmAccessMode shm_access = ShmAccessMode::kLockFree;
   FlowControlMode flow_control = FlowControlMode::kShmInCapsule;
   bool zero_copy = true;             ///< app buffers created in shm (§4.4.3)
   u64 shm_slot_bytes = 512 * kKiB;   ///< slot size == max I/O size

@@ -53,16 +53,11 @@ Result<pdu::ICResp> ConnectionManager::accept_target(const pdu::ICReq& req,
     return ring.status();
   }
 
-  std::shared_ptr<sim::AsyncMutex> lock;
-  if (cfg.shm_access == ShmAccessMode::kLocked) {
-    lock = broker_.mutex_for(conn_name, ep.executor());
-  }
-
   resp.shm_granted = true;
   resp.shm_bytes = region.bytes;
   resp.shm_slots = cfg.shm_slots;
   resp.shm_name = conn_name;
-  ep.enable_shm(std::move(region), ring.value(), std::move(lock));
+  ep.enable_shm(std::move(region), ring.value());
   return resp;
 }
 
@@ -85,12 +80,7 @@ Status ConnectionManager::complete_client(const pdu::ICResp& resp, AfEndpoint& e
   auto ring = shm::DoubleBufferRing::attach(region.ring_area(), region.ring_bytes());
   if (!ring) return ring.status();
 
-  std::shared_ptr<sim::AsyncMutex> lock;
-  if (ep.config().shm_access == ShmAccessMode::kLocked) {
-    lock = broker_.mutex_for(resp.shm_name, ep.executor());
-  }
-
-  ep.enable_shm(std::move(region), ring.value(), std::move(lock));
+  ep.enable_shm(std::move(region), ring.value());
   return Status::ok();
 }
 

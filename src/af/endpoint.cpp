@@ -49,11 +49,9 @@ void AfEndpoint::init_telemetry() {
       [this]() -> i64 { return static_cast<i64>(ring_.fence_rejects()); });
 }
 
-void AfEndpoint::enable_shm(RegionHandle handle, shm::DoubleBufferRing ring,
-                            std::shared_ptr<sim::AsyncMutex> lock) {
+void AfEndpoint::enable_shm(RegionHandle handle, shm::DoubleBufferRing ring) {
   handle_ = std::move(handle);
   ring_ = ring;
-  lock_ = std::move(lock);
   demoted_ = false;
 }
 
@@ -70,7 +68,6 @@ bool AfEndpoint::demote_shm() {
 void AfEndpoint::detach_shm() {
   handle_ = RegionHandle{};
   ring_ = shm::DoubleBufferRing{};
-  lock_.reset();
   demoted_ = false;
 }
 
@@ -78,27 +75,6 @@ bool AfEndpoint::shm_healthy() const {
   if (!ring_.valid() || !handle_.valid()) return false;
   const auto page = handle_.locality_page();
   return page.generation() > 0 && page.region_name() == handle_.name;
-}
-
-void AfEndpoint::with_access(std::function<void(Done unlock)> op) {
-  if (cfg_.shm_access == ShmAccessMode::kLocked && lock_ != nullptr) {
-    // The naive SHM-baseline grabs the region lock around every slot
-    // access. The hold time covers the bookkeeping, not the payload copy
-    // (even the naive design copies outside the lock), so the cost shows
-    // up as serialization jitter/tail rather than lost bandwidth — exactly
-    // the paper's Fig 8 observation that going lock-free cut p99.99 by
-    // ~38% while leaving bandwidth unchanged.
-    auto lock = lock_;
-    lock->acquire([this, lock, alive = alive_, op = std::move(op)] {
-      if (!*alive) return;
-      exec_.schedule_after(kLockHoldNs, [lock, alive, op = std::move(op)] {
-        if (!*alive) return;
-        op([lock] { lock->release(); });
-      });
-    });
-  } else {
-    op([] {});
-  }
 }
 
 Status AfEndpoint::stage_payload(u32 slot, std::span<const u8> data, Done done) {
@@ -114,46 +90,35 @@ Status AfEndpoint::stage_payload(u32 slot, std::span<const u8> data, Done done) 
   telemetry::bump(tel_.staged_copies);
   telemetry::bump(tel_.payload_bytes, data.size());
   const TimeNs t0 = exec_.now();
-  with_access([this, slot, data, t0,
-               done = std::move(done)](Done unlock) mutable {
-    auto dst = ring_.slot_data(produce_dir(), slot);
-    copier_.copy(data, dst, [this, alive = alive_, slot, t0,
-                             len = data.size(), done = std::move(done),
-                             unlock = std::move(unlock)]() mutable {
-      if (!*alive) return;
-      if (cfg_.encrypt_shm) {
-        // Only ciphertext ever lands in the shared region (§6).
-        auto buf = ring_.slot_data(produce_dir(), slot);
-        xor_keystream(buf.subspan(0, len), cfg_.shm_key,
-                      static_cast<u64>(slot) * ring_.slot_size());
-        // One extra pass over the payload, charged like a copy.
-        copier_.charge(len, [this, alive = std::move(alive), slot, t0, len,
-                             done = std::move(done),
-                             unlock = std::move(unlock)]() mutable {
-          if (!*alive) return;
-          (void)ring_.publish(produce_dir(), slot, len);
-          if (telemetry::tracer().enabled()) {
-            telemetry::tracer().complete(
-                tel_.track, "shm", "shm_stage", slot, t0, exec_.now() - t0,
-                "bytes", static_cast<i64>(len));
-          }
-          unlock();
-          done();
-        });
-        return;
-      }
-      // publish cannot fail here: we hold the slot in kWriting.
-      (void)ring_.publish(produce_dir(), slot, len);
-      if (telemetry::tracer().enabled()) {
-        telemetry::tracer().complete(tel_.track, "shm", "shm_stage", slot, t0,
-                                     exec_.now() - t0, "bytes",
-                                     static_cast<i64>(len));
-      }
-      unlock();
-      done();
-    });
+  auto dst = ring_.slot_data(produce_dir(), slot);
+  copier_.copy(data, dst, [this, alive = alive_, slot, t0, len = data.size(),
+                           done = std::move(done)]() mutable {
+    if (!*alive) return;
+    if (cfg_.encrypt_shm) {
+      // Only ciphertext ever lands in the shared region (§6).
+      xor_keystream(ring_.slot_data(produce_dir(), slot).subspan(0, len),
+                    cfg_.shm_key, static_cast<u64>(slot) * ring_.slot_size());
+      // One extra pass over the payload, charged like a copy.
+      copier_.charge(len, [this, alive = std::move(alive), slot, t0, len,
+                           done = std::move(done)] {
+        if (*alive) finish_stage(slot, t0, len, done);
+      });
+      return;
+    }
+    finish_stage(slot, t0, len, done);
   });
   return Status::ok();
+}
+
+void AfEndpoint::finish_stage(u32 slot, TimeNs t0, u64 len, const Done& done) {
+  // publish cannot fail here: we hold the slot in kWriting.
+  (void)ring_.publish(produce_dir(), slot, len);
+  if (telemetry::tracer().enabled()) {
+    telemetry::tracer().complete(tel_.track, "shm", "shm_stage", slot, t0,
+                                 exec_.now() - t0, "bytes",
+                                 static_cast<i64>(len));
+  }
+  done();
 }
 
 void AfEndpoint::stage_payload_when_free(u32 slot, std::span<const u8> data,
@@ -214,56 +179,46 @@ void AfEndpoint::consume_payload(u32 slot, std::span<u8> dst,
     return;
   }
   const TimeNs t0 = exec_.now();
-  with_access([this, slot, dst, t0,
-               done = std::move(done)](Done unlock) mutable {
-    auto view = ring_.consume(consume_dir(), slot);
-    if (!view) {
-      note_consume_error(view.status());
-      unlock();
-      done(view.status());
+  auto view = ring_.consume(consume_dir(), slot);
+  if (!view) {
+    note_consume_error(view.status());
+    done(view.status());
+    return;
+  }
+  const auto src = view.value();
+  if (dst.size() < src.size()) {
+    done(Result<u64>(make_error(StatusCode::kOutOfRange, "dst too small")));
+    return;
+  }
+  copier_.copy(src, dst.subspan(0, src.size()),
+               [this, alive = alive_, slot, dst, t0, len = src.size(),
+                done = std::move(done)]() mutable {
+    if (!*alive) return;
+    if (cfg_.encrypt_shm) {
+      // Decrypt the private copy; the shared region keeps only ciphertext.
+      xor_keystream(dst.subspan(0, len), cfg_.shm_key,
+                    static_cast<u64>(slot) * ring_.slot_size());
+      (void)ring_.release(consume_dir(), slot);
+      // One extra pass over the payload, charged like a copy.
+      copier_.charge(len, [this, alive = std::move(alive), slot, t0, len,
+                           done = std::move(done)] {
+        if (*alive) finish_consume(slot, t0, len, done);
+      });
       return;
     }
-    const auto src = view.value();
-    if (dst.size() < src.size()) {
-      unlock();
-      done(Result<u64>(make_error(StatusCode::kOutOfRange, "dst too small")));
-      return;
-    }
-    copier_.copy(src, dst.subspan(0, src.size()),
-                 [this, alive = alive_, slot, dst, t0, len = src.size(),
-                  done = std::move(done), unlock = std::move(unlock)]() mutable {
-                   if (!*alive) return;
-                   if (cfg_.encrypt_shm) {
-                     // Decrypt the private copy; the shared region keeps
-                     // only ciphertext.
-                     xor_keystream(dst.subspan(0, len), cfg_.shm_key,
-                                   static_cast<u64>(slot) * ring_.slot_size());
-                     (void)ring_.release(consume_dir(), slot);
-                     unlock();
-                     copier_.charge(len, [this, alive = std::move(alive), slot,
-                                          t0, len,
-                                          done = std::move(done)]() mutable {
-                       if (!*alive) return;
-                       if (telemetry::tracer().enabled()) {
-                         telemetry::tracer().complete(
-                             tel_.track, "shm", "shm_consume", slot, t0,
-                             exec_.now() - t0, "bytes",
-                             static_cast<i64>(len));
-                       }
-                       done(Result<u64>(len));
-                     });
-                     return;
-                   }
-                   (void)ring_.release(consume_dir(), slot);
-                   if (telemetry::tracer().enabled()) {
-                     telemetry::tracer().complete(
-                         tel_.track, "shm", "shm_consume", slot, t0,
-                         exec_.now() - t0, "bytes", static_cast<i64>(len));
-                   }
-                   unlock();
-                   done(Result<u64>(len));
-                 });
+    (void)ring_.release(consume_dir(), slot);
+    finish_consume(slot, t0, len, done);
   });
+}
+
+void AfEndpoint::finish_consume(u32 slot, TimeNs t0, u64 len,
+                                const std::function<void(Result<u64>)>& done) {
+  if (telemetry::tracer().enabled()) {
+    telemetry::tracer().complete(tel_.track, "shm", "shm_consume", slot, t0,
+                                 exec_.now() - t0, "bytes",
+                                 static_cast<i64>(len));
+  }
+  done(Result<u64>(len));
 }
 
 Result<std::span<const u8>> AfEndpoint::consume_view(u32 slot) {

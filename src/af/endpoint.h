@@ -1,9 +1,8 @@
 // AF endpoint: one side's view of an adaptive-fabric connection (paper §4.6).
 //
 // The endpoint owns the shared-memory data-path state for a connection —
-// the double-buffer ring mapping, the access mode (lock-free vs the locked
-// ablation baseline), and the zero-copy buffer API — and exposes the payload
-// primitives the NVMe-oF engines compose:
+// the lock-free double-buffer ring mapping (§4.4.1) and the zero-copy buffer
+// API — and exposes the payload primitives the NVMe-oF engines compose:
 //   producer side:  stage_payload (copy into a slot and publish) or
 //                   acquire_app_buffer + publish_app_buffer (zero-copy);
 //   consumer side:  consume_payload (copy out and release) or
@@ -32,10 +31,6 @@ class AfEndpoint {
  public:
   using Done = std::function<void()>;
 
-  /// Lock hold time per slot access in the locked ablation mode (spinlock
-  /// acquire + slot bookkeeping under contention).
-  static constexpr DurNs kLockHoldNs = 1'500;
-
   AfEndpoint(Role role, Executor& exec, net::Copier& copier, AfConfig cfg)
       : role_(role), exec_(exec), copier_(copier), cfg_(std::move(cfg)) {
     // Encryption requires both sides to transform payloads, which the
@@ -50,10 +45,7 @@ class AfEndpoint {
   ~AfEndpoint() { *alive_ = false; }
 
   /// Wire up the shm channel after the Connection Manager handshake.
-  /// `lock` is non-null only in the locked-access ablation mode, where it
-  /// must be the same AsyncMutex on both sides of the connection.
-  void enable_shm(RegionHandle handle, shm::DoubleBufferRing ring,
-                  std::shared_ptr<sim::AsyncMutex> lock = nullptr);
+  void enable_shm(RegionHandle handle, shm::DoubleBufferRing ring);
 
   /// True when new payloads should ride the shm ring. Demotion turns this
   /// off while leaving the ring attached so in-flight transfers drain.
@@ -80,7 +72,6 @@ class AfEndpoint {
   [[nodiscard]] Role role() const { return role_; }
   [[nodiscard]] const AfConfig& config() const { return cfg_; }
   [[nodiscard]] Executor& executor() { return exec_; }
-  [[nodiscard]] net::Copier& copier() { return copier_; }
 
   /// Round-robin slot for command sequence `seq` (paper §4.4.1).
   [[nodiscard]] u32 slot_for(u64 seq) const { return ring_.slot_for(seq); }
@@ -163,10 +154,11 @@ class AfEndpoint {
                                   : shm::Direction::kClientToTarget;
   }
 
-  /// Run `op` under the region lock in locked mode, or directly otherwise.
-  /// `op` receives an unlock callback it must invoke when the critical
-  /// section ends.
-  void with_access(std::function<void(Done unlock)> op);
+  /// The tails of stage_payload and consume_payload once the payload sits
+  /// where it belongs (and, on an encrypted channel, is transformed).
+  void finish_stage(u32 slot, TimeNs t0, u64 len, const Done& done);
+  void finish_consume(u32 slot, TimeNs t0, u64 len,
+                      const std::function<void(Result<u64>)>& done);
 
   /// Count consume-path failures that indicate a misbehaving peer. The
   /// endpoint is the single registry authority for this event (engines call
@@ -186,9 +178,8 @@ class AfEndpoint {
   AfConfig cfg_;
   RegionHandle handle_;
   shm::DoubleBufferRing ring_;
-  std::shared_ptr<sim::AsyncMutex> lock_;
   bool demoted_ = false;
-  /// Guards deferred work (slot polls, lock acquires, copier completions)
+  /// Guards deferred work (slot polls, copier completions)
   /// against the endpoint being destroyed mid-run — the association reaper
   /// tears connections down while the executor still holds their lambdas.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

@@ -22,15 +22,6 @@ inline bool write_in_capsule(const AfConfig& cfg, bool shm_channel_ready,
   return data_len <= cfg.in_capsule_threshold;
 }
 
-/// Control messages a write command will cost under the current policy
-/// (bench assertions + the Fig 8 flow-control ablation's bookkeeping).
-inline int write_control_messages(const AfConfig& cfg, bool shm_channel_ready,
-                                  u64 data_len) {
-  // In-capsule: CapsuleCmd + CapsuleResp.
-  // Conservative: CapsuleCmd + R2T + H2CData(+payload) + CapsuleResp.
-  return write_in_capsule(cfg, shm_channel_ready, data_len) ? 2 : 4;
-}
-
 /// True if a read completion is folded into the final C2HData PDU (the
 /// SUCCESS-flag optimization, enabled along with shm flow control).
 inline bool read_success_flag(const AfConfig& cfg, bool shm_channel_ready) {

@@ -12,7 +12,7 @@ Result<RegionHandle> ShmBroker::provision(const std::string& name, u64 bytes) {
   if (name.empty()) {
     return make_error(StatusCode::kInvalidArgument, "empty region name");
   }
-  if (entries_.contains(name)) {
+  if (regions_.contains(name)) {
     return make_error(StatusCode::kAlreadyExists,
                       "region already provisioned: " + name);
   }
@@ -23,7 +23,7 @@ Result<RegionHandle> ShmBroker::provision(const std::string& name, u64 bytes) {
                         : shm::ShmRegion::anonymous(total);
   if (!region_res && region_res.status().code() == StatusCode::kAlreadyExists) {
     // A previous process died without unlinking its region. The broker owns
-    // this name space (entries_ already guarantees no live connection uses
+    // this name space (regions_ already guarantees no live connection uses
     // it), so garbage-collect the stale object and retry.
     ::shm_unlink(posix_name(name).c_str());
     region_res = shm::ShmRegion::create(posix_name(name), total);
@@ -42,41 +42,31 @@ Result<RegionHandle> ShmBroker::provision(const std::string& name, u64 bytes) {
   shm::LocalityPage page(handle.base, /*init=*/true);
   page.announce(node_token_, name);
 
-  entries_[name] = Entry{region, nullptr};
+  regions_[name] = region;
   return handle;
 }
 
 Result<RegionHandle> ShmBroker::open(const std::string& name) {
-  auto it = entries_.find(name);
-  RegionHandle handle;
-  handle.name = name;
-
-  if (it == entries_.end()) {
-    // Not provisioned by *this* broker object. With POSIX backing the
-    // region may have been provisioned by the target's broker in another
-    // process — attach by name (the helper's announcement and the claim
-    // flag below still gate access).
-    if (backing_ != Backing::kPosixShm) {
+  std::shared_ptr<shm::ShmRegion> region;
+  if (backing_ == Backing::kPosixShm) {
+    // Attach by name whether or not *this* broker provisioned the region:
+    // the target's broker may live in another process. The helper's
+    // announcement and the claim flag below still gate access.
+    auto mapped = shm::ShmRegion::attach(posix_name(name));
+    if (!mapped) return mapped.status();
+    region = std::make_shared<shm::ShmRegion>(std::move(mapped).take());
+  } else {
+    auto it = regions_.find(name);
+    if (it == regions_.end()) {
       return make_error(StatusCode::kNotFound, "region not provisioned: " + name);
     }
-    auto mapped = shm::ShmRegion::attach(posix_name(name));
-    if (!mapped) return mapped.status();
-    auto region = std::make_shared<shm::ShmRegion>(std::move(mapped).take());
-    handle.base = region->bytes();
-    handle.bytes = region->size();
-    handle.keepalive = region;
-  } else if (backing_ == Backing::kPosixShm) {
-    auto mapped = shm::ShmRegion::attach(posix_name(name));
-    if (!mapped) return mapped.status();
-    auto region = std::make_shared<shm::ShmRegion>(std::move(mapped).take());
-    handle.base = region->bytes();
-    handle.bytes = region->size();
-    handle.keepalive = region;
-  } else {
-    handle.base = it->second.region->bytes();
-    handle.bytes = it->second.region->size();
-    handle.keepalive = it->second.region;
+    region = it->second;
   }
+  RegionHandle handle;
+  handle.name = name;
+  handle.base = region->bytes();
+  handle.bytes = region->size();
+  handle.keepalive = region;
 
   // The helper must have announced the hotplug before the client maps.
   if (handle.locality_page().generation() == 0) {
@@ -93,25 +83,15 @@ Result<RegionHandle> ShmBroker::open(const std::string& name) {
 }
 
 Status ShmBroker::revoke(const std::string& name) {
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
+  auto it = regions_.find(name);
+  if (it == regions_.end()) {
     return make_error(StatusCode::kNotFound, "region not provisioned: " + name);
   }
   if (backing_ == Backing::kPosixShm) {
-    it->second.region->unlink();
+    it->second->unlink();
   }
-  entries_.erase(it);
+  regions_.erase(it);
   return Status::ok();
-}
-
-std::shared_ptr<sim::AsyncMutex> ShmBroker::mutex_for(const std::string& name,
-                                                      Executor& exec) {
-  auto it = entries_.find(name);
-  if (it == entries_.end()) return nullptr;
-  if (!it->second.mutex) {
-    it->second.mutex = std::make_shared<sim::AsyncMutex>(exec);
-  }
-  return it->second.mutex;
 }
 
 }  // namespace oaf::af

@@ -23,7 +23,6 @@
 #include "common/status.h"
 #include "shm/locality_page.h"
 #include "shm/region.h"
-#include "sim/resource.h"
 
 namespace oaf::af {
 
@@ -68,21 +67,12 @@ class ShmBroker {
   /// stay valid until their keepalive drops.
   Status revoke(const std::string& name);
 
-  /// Shared async mutex for the locked-access ablation mode; one per region.
-  [[nodiscard]] std::shared_ptr<sim::AsyncMutex> mutex_for(const std::string& name,
-                                                           Executor& exec);
-
-  [[nodiscard]] size_t active_regions() const { return entries_.size(); }
+  [[nodiscard]] size_t active_regions() const { return regions_.size(); }
 
  private:
-  struct Entry {
-    std::shared_ptr<shm::ShmRegion> region;  // process-shared backing
-    std::shared_ptr<sim::AsyncMutex> mutex;
-  };
-
   u64 node_token_;
   Backing backing_;
-  std::map<std::string, Entry> entries_;
+  std::map<std::string, std::shared_ptr<shm::ShmRegion>> regions_;
 };
 
 }  // namespace oaf::af

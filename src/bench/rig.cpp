@@ -55,9 +55,9 @@ af::AfConfig Rig::config_for(Transport t) const {
     }
     case Transport::kAfShmBaselineLocked: {
       // Pre-optimization designs keep SPDK's stock 128 KiB chunking for
-      // their notifications; the chunk tuning belongs to §4.5.
+      // their notifications; the chunk tuning belongs to §4.5. The lock is
+      // the stream's net::LockedCopier pair, not a config value.
       af::AfConfig cfg = af_full(opts_.max_io_bytes, opts_.queue_depth);
-      cfg.shm_access = af::ShmAccessMode::kLocked;
       cfg.flow_control = af::FlowControlMode::kConservative;
       cfg.zero_copy = false;
       cfg.chunk_bytes = 128 * kKiB;
@@ -105,14 +105,7 @@ Rig::Rig(sim::Scheduler& sched, RigOptions opts, std::vector<StreamSpec> streams
         any_tcp = true;  // AF modes carry control PDUs over TCP too
         break;
     }
-    if (s.transport == Transport::kAfShm ||
-        s.transport == Transport::kAfShmBaselineLocked ||
-        s.transport == Transport::kAfShmLockFree ||
-        s.transport == Transport::kAfShmFlowCtl ||
-        s.transport == Transport::kAfShmRdmaControl ||
-        s.transport == Transport::kAfShmEncrypted) {
-      any_shm = true;
-    }
+    if (config_for(s.transport).want_shm) any_shm = true;
   }
   if (any_tcp && opts_.shared_tcp_link) {
     tcp_link_ = std::make_unique<net::SimTcpLink>(sched_, opts_.tcp);
@@ -151,15 +144,18 @@ Rig::Rig(sim::Scheduler& sched, RigOptions opts, std::vector<StreamSpec> streams
 
     // Copiers: shm streams charge real memory-bus time; pure network
     // streams never touch the shm path, so the inline copier suffices.
-    const bool uses_shm = spec.transport == Transport::kAfShm ||
-                          spec.transport == Transport::kAfShmBaselineLocked ||
-                          spec.transport == Transport::kAfShmLockFree ||
-                          spec.transport == Transport::kAfShmFlowCtl ||
-                          spec.transport == Transport::kAfShmRdmaControl ||
-                          spec.transport == Transport::kAfShmEncrypted;
+    const bool uses_shm = config_for(spec.transport).want_shm;
     if (uses_shm) {
       stream->client_copier = std::make_unique<net::SimCopier>(*mem_bus_);
       stream->target_copier = std::make_unique<net::SimCopier>(*mem_bus_);
+      if (spec.transport == Transport::kAfShmBaselineLocked) {
+        // Fig 8's SHM-baseline: both sides' slot copies take one lock.
+        auto lock = std::make_shared<sim::AsyncMutex>(sched_);
+        stream->client_copier = std::make_unique<net::LockedCopier>(
+            std::move(stream->client_copier), lock, sched_);
+        stream->target_copier = std::make_unique<net::LockedCopier>(
+            std::move(stream->target_copier), lock, sched_);
+      }
     } else {
       stream->client_copier = std::make_unique<net::InlineCopier>();
       stream->target_copier = std::make_unique<net::InlineCopier>();

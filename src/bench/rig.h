@@ -9,7 +9,8 @@
 //                        tuned chunk size) — the inter-node fallback
 //   kRdma / kRoce        NVMe/RDMA over IB-56G or RoCE-100G link models
 //   kAfShm               full NVMe-oAF (SHM-0-copy)
-//   kAfShmBaselineLocked Fig 8 ablation: locked shm, conservative flow
+//   kAfShmBaselineLocked Fig 8 ablation: shm copies behind one lock
+//                        (net::LockedCopier), conservative flow
 //   kAfShmLockFree       Fig 8 ablation: + lock-free double buffer
 //   kAfShmFlowCtl        Fig 8 ablation: + shm flow control (no zero-copy)
 //

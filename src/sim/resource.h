@@ -117,9 +117,9 @@ class Throttle {
 };
 
 /// Asynchronous mutex: callers queue for exclusive ownership and release it
-/// explicitly. Models a spinlock-guarded critical section on the timing
-/// plane (the Fig 8 "SHM-baseline" serialization) and works unchanged on the
-/// functional plane. FIFO grant order.
+/// explicitly. FIFO grant order. It serves only the timing plane: it models
+/// the spinlock-guarded critical section of Fig 8's "SHM-baseline" inside
+/// net::LockedCopier. No engine takes it.
 class AsyncMutex {
  public:
   using Fn = Executor::Fn;  // move-only; jobs may carry linear tokens

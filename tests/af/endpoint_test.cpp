@@ -2,12 +2,32 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 
 #include "sim/scheduler.h"
 
 namespace oaf::af {
 namespace {
+
+/// Map one freshly provisioned region into both endpoints, as the
+/// Connection Manager does after the handshake.
+void wire(ShmBroker& broker, AfEndpoint& client, AfEndpoint& target,
+          u64 slot_bytes = 4096, u32 slots = 8) {
+  const u64 ring_bytes = shm::DoubleBufferRing::required_bytes(slot_bytes, slots);
+  auto handle = broker.provision("pair", ring_bytes).take();
+  auto ring = shm::DoubleBufferRing::create(handle.ring_area(),
+                                            handle.ring_bytes(), slot_bytes,
+                                            slots)
+                  .take();
+  auto client_handle = broker.open("pair").take();
+  auto client_ring = shm::DoubleBufferRing::attach(client_handle.ring_area(),
+                                                   client_handle.ring_bytes())
+                         .take();
+  client.enable_shm(std::move(client_handle), client_ring);
+  target.enable_shm(std::move(handle), ring);
+}
 
 class EndpointPair {
  public:
@@ -16,25 +36,7 @@ class EndpointPair {
       : broker_(1),
         client_(Role::kClient, sched_, copier_, cfg),
         target_(Role::kTarget, sched_, copier_, cfg) {
-    AfConfig c = cfg;
-    c.shm_slot_bytes = slot_bytes;
-    c.shm_slots = slots;
-    const u64 ring_bytes = shm::DoubleBufferRing::required_bytes(slot_bytes, slots);
-    auto handle = broker_.provision("pair", ring_bytes).take();
-    auto ring = shm::DoubleBufferRing::create(handle.ring_area(),
-                                              handle.ring_bytes(), slot_bytes,
-                                              slots)
-                    .take();
-    std::shared_ptr<sim::AsyncMutex> lock;
-    if (cfg.shm_access == ShmAccessMode::kLocked) {
-      lock = broker_.mutex_for("pair", sched_);
-    }
-    auto client_handle = broker_.open("pair").take();
-    auto client_ring = shm::DoubleBufferRing::attach(client_handle.ring_area(),
-                                                     client_handle.ring_bytes())
-                           .take();
-    client_.enable_shm(std::move(client_handle), client_ring, lock);
-    target_.enable_shm(std::move(handle), ring, lock);
+    wire(broker_, client_, target_, slot_bytes, slots);
   }
 
   sim::Scheduler sched_;
@@ -42,6 +44,25 @@ class EndpointPair {
   ShmBroker broker_;
   AfEndpoint client_;
   AfEndpoint target_;
+};
+
+/// An endpoint pair whose copiers are Fig 8's SHM-baseline: both sides'
+/// copies take one lock. The client can be destroyed mid-run, as the
+/// association reaper does.
+struct LockedPair {
+  LockedPair() { wire(broker, *client, target); }
+
+  sim::Scheduler sched;
+  std::shared_ptr<sim::AsyncMutex> lock =
+      std::make_shared<sim::AsyncMutex>(sched);
+  net::LockedCopier client_copier{std::make_unique<net::InlineCopier>(), lock,
+                                  sched};
+  net::LockedCopier target_copier{std::make_unique<net::InlineCopier>(), lock,
+                                  sched};
+  ShmBroker broker{1};
+  std::unique_ptr<AfEndpoint> client = std::make_unique<AfEndpoint>(
+      Role::kClient, sched, client_copier, AfConfig::oaf());
+  AfEndpoint target{Role::kTarget, sched, target_copier, AfConfig::oaf()};
 };
 
 TEST(AfEndpointTest, NotReadyWithoutShm) {
@@ -143,31 +164,36 @@ TEST(AfEndpointTest, DstTooSmallFails) {
   EXPECT_FALSE(got.is_ok());
 }
 
-TEST(AfEndpointTest, LockedModeSerializesButDelivers) {
-  AfConfig cfg = AfConfig::oaf();
-  cfg.shm_access = ShmAccessMode::kLocked;
-  cfg.zero_copy = false;
-  EndpointPair pair(cfg);
-  std::vector<u8> a(100, 1);
-  std::vector<u8> b(100, 2);
-  int staged = 0;
-  ASSERT_TRUE(pair.client_.stage_payload(0, a, [&] { staged++; }));
-  ASSERT_TRUE(pair.client_.stage_payload(1, b, [&] { staged++; }));
-  pair.sched_.run();
-  EXPECT_EQ(staged, 2);
+TEST(AfEndpointTest, LockedStageReadsItsSourceAtOnce) {
+  LockedPair pair;
+  std::vector<u8> src(100, 0xAB);
+  bool staged = false;
+  ASSERT_TRUE(pair.client->stage_payload(0, src, [&] { staged = true; }));
+  // The caller recycles its buffer while the copy waits for the lock.
+  std::fill(src.begin(), src.end(), 0);
+  pair.sched.run();
+  ASSERT_TRUE(staged);
 
   std::vector<u8> out(100);
-  int consumed = 0;
-  pair.target_.consume_payload(0, out, [&](Result<u64> r) {
-    EXPECT_TRUE(r.is_ok());
-    consumed++;
-  });
-  pair.target_.consume_payload(1, out, [&](Result<u64> r) {
-    EXPECT_TRUE(r.is_ok());
-    consumed++;
-  });
-  pair.sched_.run();
-  EXPECT_EQ(consumed, 2);
+  Result<u64> got = make_error(StatusCode::kUnavailable);
+  pair.target.consume_payload(0, out, [&](Result<u64> r) { got = r; });
+  pair.sched.run();
+  ASSERT_TRUE(got.is_ok());
+  EXPECT_EQ(out, std::vector<u8>(100, 0xAB));
+}
+
+TEST(AfEndpointTest, ReapedEndpointDoesNotWedgeItsPeer) {
+  LockedPair pair;
+  const std::vector<u8> a(64, 1);
+  const std::vector<u8> b(64, 2);
+  ASSERT_TRUE(pair.client->stage_payload(0, a, [] {}));
+  pair.client.reset();  // reaped before its copy is granted the lock
+  bool staged = false;
+  ASSERT_TRUE(pair.target.stage_payload(1, b, [&] { staged = true; }));
+  pair.sched.run();
+  EXPECT_TRUE(staged);
+  EXPECT_FALSE(pair.lock->held());
+  EXPECT_EQ(pair.lock->waiters(), 0u);
 }
 
 TEST(AfEndpointTest, FullRingLap) {

@@ -36,15 +36,6 @@ TEST(FlowControlTest, ConservativeModeOnShm) {
   EXPECT_FALSE(write_in_capsule(cfg, true, 128 * 1024));
 }
 
-TEST(FlowControlTest, MessageCounts) {
-  AfConfig oaf_cfg = AfConfig::oaf();
-  AfConfig stock = AfConfig::stock_tcp();
-  // Paper Fig 7: shm flow control cuts 4 messages to 2 for large writes.
-  EXPECT_EQ(write_control_messages(oaf_cfg, true, 128 * 1024), 2);
-  EXPECT_EQ(write_control_messages(stock, false, 128 * 1024), 4);
-  EXPECT_EQ(write_control_messages(stock, false, 4 * 1024), 2);
-}
-
 TEST(FlowControlTest, ReadSuccessFlag) {
   AfConfig oaf_cfg = AfConfig::oaf();
   AfConfig stock = AfConfig::stock_tcp();

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/scheduler.h"
-
 namespace oaf::af {
 namespace {
 
@@ -78,17 +76,6 @@ TEST(ShmBrokerTest, PosixBackingDistinctMappingsSamePages) {
   provisioned.ring_area()[5] = 0x42;
   EXPECT_EQ(opened.value().ring_area()[5], 0x42);    // same pages
   ASSERT_TRUE(broker.revoke(name));
-}
-
-TEST(ShmBrokerTest, MutexSharedPerRegion) {
-  ShmBroker broker(1);
-  sim::Scheduler sched;
-  (void)broker.provision("m", 4096);
-  auto m1 = broker.mutex_for("m", sched);
-  auto m2 = broker.mutex_for("m", sched);
-  ASSERT_NE(m1, nullptr);
-  EXPECT_EQ(m1.get(), m2.get());
-  EXPECT_EQ(broker.mutex_for("ghost", sched), nullptr);
 }
 
 TEST(ShmBrokerTest, EmptyNameRejected) {

@@ -115,6 +115,26 @@ TEST(RigShapeTest, AblationOrderingMatchesFig8) {
   EXPECT_GE(zerocopy, flowctl * 0.95);
 }
 
+TEST(RigTest, LockedShmBaselineCorrect) {
+  // Fig 8's SHM-baseline serializes both sides' slot copies on one lock;
+  // the bytes must still arrive intact in both directions.
+  sim::Scheduler sched;
+  Rig rig(sched, RigOptions{}, {{Transport::kAfShmBaselineLocked, {}}});
+  rig.connect_all();
+  ASSERT_TRUE(rig.initiator(0).shm_active());
+
+  std::vector<u8> data(64 * kKiB);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<u8>(i * 7 + 4);
+  std::vector<u8> out(data.size());
+  int ok = 0;
+  rig.initiator(0).write(1, 8, data, [&](auto r) { ok += r.ok(); });
+  sched.run();
+  rig.initiator(0).read(1, 8, out, [&](auto r) { ok += r.ok(); });
+  sched.run();
+  EXPECT_EQ(ok, 2);
+  EXPECT_EQ(out, data);
+}
+
 TEST(RigShapeTest, TailLatencyAfBelowTcpAndRdma) {
   // Fig 13 regime: short mixed 70:30 run at 128 KiB, moderate queue depth
   // (at saturation depths queueing delay swamps every fabric's tail).

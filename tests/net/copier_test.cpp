@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "sim/scheduler.h"
 
 namespace oaf::net {
@@ -78,6 +80,41 @@ TEST(SimCopierTest, ChargeWithoutData) {
   c.charge(500'000, [&] { done_at = sched.now(); });
   sched.run();
   EXPECT_GE(done_at, 500'000);  // at least the stream time
+}
+
+TEST(LockedCopierTest, SharedLockSerializesButDelivers) {
+  sim::Scheduler sched;
+  auto lock = std::make_shared<sim::AsyncMutex>(sched);
+  LockedCopier client(std::make_unique<InlineCopier>(), lock, sched);
+  LockedCopier target(std::make_unique<InlineCopier>(), lock, sched);
+
+  std::vector<u8> a(100, 1);
+  std::vector<u8> b(100, 2);
+  std::vector<u8> out_a(100);
+  std::vector<u8> out_b(100);
+  TimeNs t_a = -1;
+  TimeNs t_b = -1;
+  client.copy(a, out_a, [&] { t_a = sched.now(); });
+  target.copy(b, out_b, [&] { t_b = sched.now(); });
+  // The bytes move at once; only the completions wait for the lock.
+  EXPECT_EQ(out_a, a);
+  EXPECT_EQ(out_b, b);
+  EXPECT_EQ(t_a, -1);
+  sched.run();
+  EXPECT_EQ(t_a, LockedCopier::kHoldNs);
+  EXPECT_EQ(t_b, t_a + LockedCopier::kHoldNs);
+  EXPECT_EQ(lock->contentions(), 1u);
+  EXPECT_FALSE(lock->held());
+}
+
+TEST(LockedCopierTest, ChargeBypassesTheLock) {
+  sim::Scheduler sched;
+  auto lock = std::make_shared<sim::AsyncMutex>(sched);
+  LockedCopier c(std::make_unique<InlineCopier>(), lock, sched);
+  bool done = false;
+  c.charge(1 << 20, [&] { done = true; });
+  EXPECT_TRUE(done);
+  EXPECT_FALSE(lock->held());
 }
 
 }  // namespace

@@ -357,22 +357,5 @@ TEST(NvmfIntegrationTest, EncryptedShmEndToEnd) {
   EXPECT_EQ(out, data);
 }
 
-TEST(NvmfIntegrationTest, LockedShmModeCorrect) {
-  af::AfConfig cfg = af::AfConfig::oaf();
-  cfg.shm_access = af::ShmAccessMode::kLocked;
-  cfg.zero_copy = false;
-  Harness h(cfg);
-  ASSERT_TRUE(h.initiator->shm_active());
-  const auto data = pattern(64 * 1024, 4);
-  std::vector<u8> out(data.size());
-  int ok = 0;
-  h.initiator->write(1, 8, data, [&](auto r) { ok += r.ok(); });
-  h.sched.run();
-  h.initiator->read(1, 8, out, [&](auto r) { ok += r.ok(); });
-  h.sched.run();
-  EXPECT_EQ(ok, 2);
-  EXPECT_EQ(out, data);
-}
-
 }  // namespace
 }  // namespace oaf::nvmf
