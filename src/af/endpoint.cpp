@@ -187,6 +187,7 @@ void AfEndpoint::consume_payload(u32 slot, std::span<u8> dst,
   }
   const auto src = view.value();
   if (dst.size() < src.size()) {
+    (void)ring_.release(consume_dir(), slot);  // the producer may reuse it
     done(Result<u64>(make_error(StatusCode::kOutOfRange, "dst too small")));
     return;
   }

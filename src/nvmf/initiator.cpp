@@ -69,10 +69,23 @@ void NvmfInitiator::trace_end_span(const Pending& p) {
 NvmfInitiator::NvmfInitiator(Executor& exec, net::MsgChannel& control,
                              net::Copier& copier, af::ShmBroker& broker,
                              InitiatorOptions opts)
+    : NvmfInitiator(exec, &control, nullptr, copier, broker,
+                    std::move(opts)) {}
+
+NvmfInitiator::NvmfInitiator(Executor& exec, ChannelFactory factory,
+                             net::Copier& copier, af::ShmBroker& broker,
+                             InitiatorOptions opts)
+    : NvmfInitiator(exec, nullptr, std::move(factory), copier, broker,
+                    std::move(opts)) {}
+
+NvmfInitiator::NvmfInitiator(Executor& exec, net::MsgChannel* control,
+                             ChannelFactory factory, net::Copier& copier,
+                             af::ShmBroker& broker, InitiatorOptions opts)
     : exec_(exec),
-      owned_control_(nullptr),
-      control_(&control),
-      copier_(copier),
+      // Dialed here, before factory_ takes the factory over.
+      owned_control_(control == nullptr ? factory() : nullptr),
+      control_(control == nullptr ? owned_control_.get() : control),
+      factory_(std::move(factory)),
       cm_(broker, exec_serial_),
       ep_(af::Role::kClient, exec, copier, opts.af),
       governor_(opts.af.busy_poll, opts.af.static_poll_ns),
@@ -80,37 +93,6 @@ NvmfInitiator::NvmfInitiator(Executor& exec, net::MsgChannel& control,
       jitter_rng_(kJitterSeed),
       wheel_(exec, wheel_tick_of(opts_)) {
   // Queue depth cannot exceed the cid space / slot count.
-  if (opts_.queue_depth == 0) opts_.queue_depth = 1;
-  if (opts_.queue_depth > opts_.af.shm_slots) {
-    opts_.queue_depth = opts_.af.shm_slots;
-  }
-  inflight_.resize(opts_.queue_depth);
-  slot_busy_.assign(opts_.queue_depth, false);
-  wheel_.set_callback([this](u16 cid, u64 generation) {
-    exec_serial_.assume_held();  // wheel ticks run on the reactor
-    on_deadline(cid, generation);
-  });
-  control_->set_handler([this, alive = alive_](Pdu p) {
-    exec_serial_.assume_held();  // channel delivers on the reactor
-    if (*alive) on_pdu(std::move(p));
-  });
-  init_telemetry();
-}
-
-NvmfInitiator::NvmfInitiator(Executor& exec, ChannelFactory factory,
-                             net::Copier& copier, af::ShmBroker& broker,
-                             InitiatorOptions opts)
-    : exec_(exec),
-      owned_control_(factory()),
-      control_(owned_control_.get()),
-      factory_(std::move(factory)),
-      copier_(copier),
-      cm_(broker, exec_serial_),
-      ep_(af::Role::kClient, exec, copier, opts.af),
-      governor_(opts.af.busy_poll, opts.af.static_poll_ns),
-      opts_(std::move(opts)),
-      jitter_rng_(kJitterSeed),
-      wheel_(exec, wheel_tick_of(opts_)) {
   if (opts_.queue_depth == 0) opts_.queue_depth = 1;
   if (opts_.queue_depth > opts_.af.shm_slots) {
     opts_.queue_depth = opts_.af.shm_slots;

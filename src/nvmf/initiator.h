@@ -253,6 +253,12 @@ class NvmfInitiator : public IoSession {
   }
 
  private:
+  /// Both public constructors: `control` is the caller's channel, or null
+  /// to dial one through `factory`.
+  NvmfInitiator(Executor& exec, net::MsgChannel* control,
+                ChannelFactory factory, net::Copier& copier,
+                af::ShmBroker& broker, InitiatorOptions opts);
+
   struct Pending {
     pdu::NvmeCmd cmd;
     u64 data_len = 0;
@@ -389,7 +395,6 @@ class NvmfInitiator : public IoSession {
   std::unique_ptr<net::MsgChannel> owned_control_;  // factory-dialed channel
   net::MsgChannel* control_;                        // never null after ctor
   ChannelFactory factory_;
-  net::Copier& copier_;
   af::ConnectionManager cm_;
   af::AfEndpoint ep_;
   af::BusyPollGovernor governor_;

@@ -561,7 +561,10 @@ void NvmfTargetConnection::on_h2c(Pdu pdu) {
     OAF_WARN_RL("stale H2CData for cid %u (gen %u != %u)", cid, h2c.gen, ctx.gen);
     return;
   }
-  if (!pdu::range_fits(h2c.offset, h2c.length, ctx.buffer.size())) {
+  // Chunks arrive in order: one that overlaps or skips past the last
+  // accepted one would leave part of the staging buffer unwritten.
+  if (h2c.offset != ctx.next_offset ||
+      !pdu::range_fits(h2c.offset, h2c.length, ctx.buffer.size())) {
     send_resp(cid, {cid, NvmeStatus::kDataTransferError, 0}, 0);
     return;
   }
@@ -571,6 +574,7 @@ void NvmfTargetConnection::on_h2c(Pdu pdu) {
       send_resp(cid, {cid, NvmeStatus::kDataTransferError, 0}, 0);
       return;
     }
+    ctx.next_offset += h2c.length;
     ctx.copies_in_flight++;
     ep_.consume_payload(
         h2c.shm_slot,
@@ -605,6 +609,7 @@ void NvmfTargetConnection::on_h2c(Pdu pdu) {
     }
   }
   std::memcpy(ctx.buffer.data() + h2c.offset, pdu.payload.data(), h2c.length);
+  ctx.next_offset += h2c.length;
   ctx.bytes_received += h2c.length;
   if (ctx.bytes_received >= ctx.buffer.size()) {
     start_device_write(cid);

@@ -208,6 +208,7 @@ class NvmfTargetConnection {
     pdu::NvmeCmd cmd;
     af::StagingBuffer buffer; ///< staging for the device, and its charge
     u64 bytes_received = 0;   ///< write reassembly progress
+    u64 next_offset = 0;      ///< where the next H2CData chunk must start
     TimeNs arrival = 0;       ///< capsule arrival time (target_time base)
     DurNs copy_wait = 0;      ///< data-path (shm copy) residency — reported
                               ///< as communication time, not processing

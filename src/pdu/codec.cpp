@@ -1,6 +1,9 @@
 #include "pdu/codec.h"
 
-#include <cstring>
+#include <concepts>
+#include <iterator>
+#include <tuple>
+#include <type_traits>
 
 #include "pdu/crc32.h"
 #include "pdu/wire_contract.h"
@@ -12,84 +15,270 @@ namespace {
 constexpr u64 kCommonHeaderBytes = kWireCommonHeaderBytes;
 constexpr u8 kFlagHeaderDigest = 0x01;
 
+// ---------------------------------------------------------------------------
+// The wire description: each typed header's fields, listed once in wire
+// order. `fields(h)` returns groups of references: the first group is always
+// on the wire, and each later group is a tail a protocol revision appended.
+// Scalars travel little-endian at their own width (an enum as its underlying
+// type, a bool as one byte, a signed value in two's complement), a string as
+// a u32 byte count and its bytes, and NvmeCmd/NvmeCpl nest their own lists.
+// The writer, the reader and the sizer below all walk these lists.
+
+/// `H` or `const H`: each list serves the writer and the reader alike.
+template <typename T, typename H>
+concept Like = std::same_as<std::remove_const_t<T>, H>;
+
+/// The type tag each header travels under; a header without one does not
+/// compile. A TermReq travels under two (type_of).
+template <typename H>
+constexpr PduType kTag = H::missing_type_tag;
+
+constexpr auto fields(Like<NvmeCmd> auto& c) {
+  return std::make_tuple(std::tie(c.opcode, c.cid, c.nsid, c.slba, c.nlb,
+                                  c.abort_cid, c.abort_gen));
+}
+
+constexpr auto fields(Like<NvmeCpl> auto& c) {
+  return std::make_tuple(std::tie(c.cid, c.status, c.result));
+}
+
+template <>
+constexpr PduType kTag<ICReq> = PduType::kICReq;
+constexpr auto fields(Like<ICReq> auto& h) {
+  return std::make_tuple(
+      std::tie(h.pfv, h.hpda, h.header_digest, h.maxr2t, h.node_token,
+               h.want_shm, h.data_digest, h.kato_ns),
+      std::tie(h.trace_ctx, h.t_sent_ns));  // rev 2: trace-context offer
+}
+
+template <>
+constexpr PduType kTag<ICResp> = PduType::kICResp;
+constexpr auto fields(Like<ICResp> auto& h) {
+  return std::make_tuple(
+      std::tie(h.pfv, h.header_digest, h.maxh2cdata, h.shm_granted,
+               h.shm_bytes, h.shm_slots, h.shm_name, h.data_digest),
+      std::tie(h.trace_ctx, h.echo_t_ns, h.t_now_ns),  // rev 2: clock echo
+      // rev 4: admission verdict; a short header decodes as admitted
+      std::tie(h.admitted, h.retry_after_ms, h.reject_reason));
+}
+
+template <>
+constexpr PduType kTag<CapsuleCmd> = PduType::kCapsuleCmd;
+constexpr auto fields(Like<CapsuleCmd> auto& h) {
+  return std::make_tuple(std::tie(h.cmd, h.placement, h.in_capsule_data,
+                                  h.shm_slot, h.data_len, h.gen),
+                         std::tie(h.trace_id, h.parent_span));  // rev 2
+}
+
+template <>
+constexpr PduType kTag<CapsuleResp> = PduType::kCapsuleResp;
+constexpr auto fields(Like<CapsuleResp> auto& h) {
+  return std::make_tuple(
+      std::tie(h.cpl, h.io_time_ns, h.target_time_ns, h.gen));
+}
+
+template <>
+constexpr PduType kTag<R2T> = PduType::kR2T;
+constexpr auto fields(Like<R2T> auto& h) {
+  return std::make_tuple(std::tie(h.cid, h.ttag, h.offset, h.length, h.gen));
+}
+
+template <>
+constexpr PduType kTag<H2CData> = PduType::kH2CData;
+constexpr auto fields(Like<H2CData> auto& h) {
+  return std::make_tuple(std::tie(h.cid, h.ttag, h.offset, h.length, h.last,
+                                  h.placement, h.shm_slot, h.gen,
+                                  h.data_digest));
+}
+
+template <>
+constexpr PduType kTag<C2HData> = PduType::kC2HData;
+constexpr auto fields(Like<C2HData> auto& h) {
+  return std::make_tuple(std::tie(h.cid, h.offset, h.length, h.last,
+                                  h.success, h.placement, h.shm_slot,
+                                  h.io_time_ns, h.target_time_ns, h.gen,
+                                  h.data_digest));
+}
+
+template <>
+constexpr PduType kTag<TermReq> = PduType::kH2CTermReq;
+constexpr auto fields(Like<TermReq> auto& h) {
+  return std::make_tuple(std::tie(h.from_host, h.fes, h.reason));
+}
+
+template <>
+constexpr PduType kTag<KeepAlive> = PduType::kKeepAlive;
+constexpr auto fields(Like<KeepAlive> auto& h) {
+  return std::make_tuple(std::tie(h.from_host, h.seq),
+                         std::tie(h.t_sent_ns, h.echo_t_ns));  // rev 2
+}
+
+template <>
+constexpr PduType kTag<ShmDemote> = PduType::kShmDemote;
+constexpr auto fields(Like<ShmDemote> auto& h) {
+  return std::make_tuple(std::tie(h.reason));
+}
+
+template <>
+constexpr PduType kTag<AnaLog> = PduType::kAnaLog;
+constexpr auto fields(Like<AnaLog> auto& h) {
+  return std::make_tuple(std::tie(h.state, h.change_seq, h.reason));
+}
+
+template <>
+constexpr PduType kTag<AnomalyReq> = PduType::kAnomalyReq;
+constexpr auto fields(Like<AnomalyReq> auto& h) {
+  return std::make_tuple(
+      std::tie(h.trace_id, h.t_from_ns, h.t_to_ns, h.offset_ns));
+}
+
+template <>
+constexpr PduType kTag<AnomalyResp> = PduType::kAnomalyResp;
+constexpr auto fields(Like<AnomalyResp> auto& h) {
+  return std::make_tuple(std::tie(h.trace_id, h.pid, h.event_count));
+}
+
+/// A TermReq's direction is its `from_host` field.
+template <typename H>
+constexpr PduType type_of(const H& h) {
+  if constexpr (std::is_same_v<H, TermReq>) {
+    return h.from_host ? PduType::kH2CTermReq : PduType::kC2HTermReq;
+  } else {
+    return kTag<H>;
+  }
+}
+
+/// True when a frame tagged `t` carries an `H`.
+template <typename H>
+constexpr bool carries(PduType t) {
+  return t == kTag<H> ||
+         (std::is_same_v<H, TermReq> && t == PduType::kC2HTermReq);
+}
+
+/// The unsigned integer a scalar field travels as.
+template <typename T>
+constexpr auto raw(T v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return static_cast<u8>(v ? 1 : 0);
+  } else if constexpr (std::is_enum_v<T>) {
+    return static_cast<std::make_unsigned_t<std::underlying_type_t<T>>>(v);
+  } else {
+    return static_cast<std::make_unsigned_t<T>>(v);
+  }
+}
+
+template <typename W, typename... T>
+constexpr void walk_group(W& w, const std::tuple<T&...>& group) {
+  std::apply([&w](T&... field) { (w.field(field), ...); }, group);
+}
+
+/// Walks `w` over the fields of `h` in wire order. A revision tail is walked
+/// only when `w.wants(tail)`.
+template <typename W, typename H>
+constexpr void walk(W& w, H& h) {
+  std::apply(
+      [&w](const auto& head, const auto&... tails) {
+        walk_group(w, head);
+        ((w.wants(tails) ? walk_group(w, tails) : void()), ...);
+      },
+      fields(h));
+}
+
+/// Counts the bytes fields occupy on the wire.
+struct Sizer {
+  u64 bytes = 0;
+
+  static constexpr bool wants(const auto& /*tail*/) { return true; }
+
+  template <typename T>
+  constexpr void field(const T& v) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      bytes += kWireStrPrefixBytes + v.size();
+    } else if constexpr (std::is_class_v<T>) {
+      walk(*this, v);
+    } else {
+      bytes += sizeof(raw(v));
+    }
+  }
+};
+
+template <typename H>
+constexpr u64 wire_bytes(const H& h) {
+  Sizer s;
+  walk(s, h);
+  return s.bytes;
+}
+
 class Writer {
  public:
   explicit Writer(std::vector<u8>& out) : out_(out) {}
 
-  void u8_(u8 v) { out_.push_back(v); }
-  void u16_(u16 v) {
-    out_.push_back(static_cast<u8>(v));
-    out_.push_back(static_cast<u8>(v >> 8));
-  }
-  void u32_(u32 v) {
-    for (int i = 0; i < 4; ++i) out_.push_back(static_cast<u8>(v >> (8 * i)));
-  }
-  void u64_(u64 v) {
-    for (int i = 0; i < 8; ++i) out_.push_back(static_cast<u8>(v >> (8 * i)));
-  }
-  void bool_(bool v) { u8_(v ? 1 : 0); }
-  void str_(const std::string& s) {
-    u32_(static_cast<u32>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
+  /// An encoder always writes the newest revision: every tail.
+  static constexpr bool wants(const auto& /*tail*/) { return true; }
+
+  template <typename T>
+  void field(const T& v) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      field(static_cast<u32>(v.size()));
+      out_.insert(out_.end(), v.begin(), v.end());
+    } else if constexpr (std::is_class_v<T>) {
+      walk(*this, v);
+    } else {
+      const auto u = raw(v);
+      for (size_t i = 0; i < sizeof(u); ++i) {
+        out_.push_back(static_cast<u8>(u >> (8 * i)));
+      }
+    }
   }
 
  private:
   std::vector<u8>& out_;
 };
 
+/// Bounds-checked: a field past the end of the typed header fails the whole
+/// decode. Bytes past the last known field (a newer peer's tails) are
+/// ignored.
 class Reader {
  public:
   explicit Reader(std::span<const u8> in) : in_(in) {}
 
   [[nodiscard]] bool ok() const { return ok_; }
-  [[nodiscard]] u64 consumed() const { return pos_; }
-  /// Unread bytes left in the typed header. Used to decode fields appended
-  /// by newer protocol revisions only when the peer actually sent them —
-  /// a short (older-peer) header decodes cleanly with defaulted values.
-  [[nodiscard]] u64 remaining() const {
-    return ok_ ? in_.size() - pos_ : 0;
+
+  /// A tail is read only when the peer sent all of its fixed bytes, sized
+  /// on its still-default fields (a string counts its length prefix). A
+  /// short (older-peer) header so decodes with the tail's defaults.
+  [[nodiscard]] bool wants(const auto& tail) const {
+    Sizer s;
+    walk_group(s, tail);
+    return ok_ && in_.size() - pos_ >= s.bytes;
   }
 
-  u8 u8_() {
-    if (!need(1)) return 0;
-    return in_[pos_++];
-  }
-  u16 u16_() {
-    if (!need(2)) return 0;
-    u16 v = static_cast<u16>(in_[pos_] | (in_[pos_ + 1] << 8));
-    pos_ += 2;
-    return v;
-  }
-  u32 u32_() {
-    if (!need(4)) return 0;
-    u32 v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<u32>(in_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return v;
-  }
-  u64 u64_() {
-    if (!need(8)) return 0;
-    u64 v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<u64>(in_[pos_ + i]) << (8 * i);
-    pos_ += 8;
-    return v;
-  }
-  bool bool_() { return u8_() != 0; }
-  std::string str_() {
-    const u32 len = u32_();
-    if (!ok_ || !need(len)) return {};
-    std::string s(reinterpret_cast<const char*>(in_.data() + pos_), len);
-    pos_ += len;
-    return s;
+  template <typename T>
+  void field(T& v) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      u32 len = 0;
+      field(len);
+      if (!need(len)) return;
+      v.assign(reinterpret_cast<const char*>(in_.data() + pos_), len);
+      pos_ += len;
+    } else if constexpr (std::is_class_v<T>) {
+      walk(*this, v);
+    } else {
+      using U = decltype(raw(v));
+      if (!need(sizeof(U))) return;
+      u64 acc = 0;
+      for (size_t i = 0; i < sizeof(U); ++i) {
+        acc |= u64{in_[pos_ + i]} << (8 * i);
+      }
+      pos_ += sizeof(U);
+      v = static_cast<T>(static_cast<U>(acc));
+    }
   }
 
  private:
   bool need(u64 n) {
-    if (pos_ + n > in_.size()) {
-      ok_ = false;
-      return false;
-    }
-    return true;
+    if (!ok_ || n > in_.size() - pos_) ok_ = false;
+    return ok_;
   }
 
   std::span<const u8> in_;
@@ -97,344 +286,56 @@ class Reader {
   bool ok_ = true;
 };
 
-void encode_cmd(Writer& w, const NvmeCmd& cmd) {
-  w.u8_(static_cast<u8>(cmd.opcode));
-  w.u16_(cmd.cid);
-  w.u32_(cmd.nsid);
-  w.u64_(cmd.slba);
-  w.u32_(cmd.nlb);
-  w.u16_(cmd.abort_cid);
-  w.u16_(cmd.abort_gen);
-}
-
-NvmeCmd decode_cmd(Reader& r) {
-  NvmeCmd cmd;
-  cmd.opcode = static_cast<NvmeOpcode>(r.u8_());
-  cmd.cid = r.u16_();
-  cmd.nsid = r.u32_();
-  cmd.slba = r.u64_();
-  cmd.nlb = r.u32_();
-  cmd.abort_cid = r.u16_();
-  cmd.abort_gen = r.u16_();
-  return cmd;
-}
-
-void encode_header(Writer& w, const PduHeader& header) {
-  std::visit(
-      [&w](const auto& h) {
-        using T = std::decay_t<decltype(h)>;
-        if constexpr (std::is_same_v<T, ICReq>) {
-          w.u16_(h.pfv);
-          w.u8_(h.hpda);
-          w.bool_(h.header_digest);
-          w.u32_(h.maxr2t);
-          w.u64_(h.node_token);
-          w.bool_(h.want_shm);
-          w.bool_(h.data_digest);
-          w.u64_(h.kato_ns);
-          w.bool_(h.trace_ctx);
-          w.u64_(h.t_sent_ns);
-        } else if constexpr (std::is_same_v<T, ICResp>) {
-          w.u16_(h.pfv);
-          w.bool_(h.header_digest);
-          w.u32_(h.maxh2cdata);
-          w.bool_(h.shm_granted);
-          w.u64_(h.shm_bytes);
-          w.u32_(h.shm_slots);
-          w.str_(h.shm_name);
-          w.bool_(h.data_digest);
-          w.bool_(h.trace_ctx);
-          w.u64_(h.echo_t_ns);
-          w.u64_(h.t_now_ns);
-          w.bool_(h.admitted);
-          w.u32_(h.retry_after_ms);
-          w.str_(h.reject_reason);
-        } else if constexpr (std::is_same_v<T, CapsuleCmd>) {
-          encode_cmd(w, h.cmd);
-          w.u8_(static_cast<u8>(h.placement));
-          w.bool_(h.in_capsule_data);
-          w.u32_(h.shm_slot);
-          w.u64_(h.data_len);
-          w.u16_(h.gen);
-          w.u64_(h.trace_id);
-          w.u64_(h.parent_span);
-        } else if constexpr (std::is_same_v<T, CapsuleResp>) {
-          w.u16_(h.cpl.cid);
-          w.u16_(static_cast<u16>(h.cpl.status));
-          w.u64_(h.cpl.result);
-          w.u64_(h.io_time_ns);
-          w.u64_(h.target_time_ns);
-          w.u16_(h.gen);
-        } else if constexpr (std::is_same_v<T, R2T>) {
-          w.u16_(h.cid);
-          w.u16_(h.ttag);
-          w.u64_(h.offset);
-          w.u64_(h.length);
-          w.u16_(h.gen);
-        } else if constexpr (std::is_same_v<T, H2CData>) {
-          w.u16_(h.cid);
-          w.u16_(h.ttag);
-          w.u64_(h.offset);
-          w.u64_(h.length);
-          w.bool_(h.last);
-          w.u8_(static_cast<u8>(h.placement));
-          w.u32_(h.shm_slot);
-          w.u16_(h.gen);
-          w.u32_(h.data_digest);
-        } else if constexpr (std::is_same_v<T, C2HData>) {
-          w.u16_(h.cid);
-          w.u64_(h.offset);
-          w.u64_(h.length);
-          w.bool_(h.last);
-          w.bool_(h.success);
-          w.u8_(static_cast<u8>(h.placement));
-          w.u32_(h.shm_slot);
-          w.u64_(h.io_time_ns);
-          w.u64_(h.target_time_ns);
-          w.u16_(h.gen);
-          w.u32_(h.data_digest);
-        } else if constexpr (std::is_same_v<T, TermReq>) {
-          w.bool_(h.from_host);
-          w.u16_(h.fes);
-          w.str_(h.reason);
-        } else if constexpr (std::is_same_v<T, KeepAlive>) {
-          w.bool_(h.from_host);
-          w.u64_(h.seq);
-          w.u64_(h.t_sent_ns);
-          w.u64_(h.echo_t_ns);
-        } else if constexpr (std::is_same_v<T, ShmDemote>) {
-          w.str_(h.reason);
-        } else if constexpr (std::is_same_v<T, AnaLog>) {
-          w.u8_(static_cast<u8>(h.state));
-          w.u64_(h.change_seq);
-          w.str_(h.reason);
-        } else if constexpr (std::is_same_v<T, AnomalyReq>) {
-          w.u64_(h.trace_id);
-          w.u64_(static_cast<u64>(h.t_from_ns));
-          w.u64_(static_cast<u64>(h.t_to_ns));
-          w.u64_(static_cast<u64>(h.offset_ns));
-        } else if constexpr (std::is_same_v<T, AnomalyResp>) {
-          w.u64_(h.trace_id);
-          w.u64_(h.pid);
-          w.u32_(h.event_count);
-        }
-      },
-      header);
-}
-
-Result<PduHeader> decode_header(PduType type, Reader& r) {
-  switch (type) {
-    case PduType::kICReq: {
-      ICReq h;
-      h.pfv = r.u16_();
-      h.hpda = r.u8_();
-      h.header_digest = r.bool_();
-      h.maxr2t = r.u32_();
-      h.node_token = r.u64_();
-      h.want_shm = r.bool_();
-      h.data_digest = r.bool_();
-      h.kato_ns = r.u64_();
-      if (r.remaining() >= 1 + 8) {  // rev 2: trace-context offer
-        h.trace_ctx = r.bool_();
-        h.t_sent_ns = r.u64_();
-      }
-      return PduHeader{h};
+/// Decodes the typed fields of the header tagged `t` into `out`; false when
+/// no header carries that tag.
+template <size_t I = 0>
+bool read_typed(PduType t, Reader& r, PduHeader& out) {
+  if constexpr (I == std::variant_size_v<PduHeader>) {
+    return false;
+  } else {
+    if (!carries<std::variant_alternative_t<I, PduHeader>>(t)) {
+      return read_typed<I + 1>(t, r, out);
     }
-    case PduType::kICResp: {
-      ICResp h;
-      h.pfv = r.u16_();
-      h.header_digest = r.bool_();
-      h.maxh2cdata = r.u32_();
-      h.shm_granted = r.bool_();
-      h.shm_bytes = r.u64_();
-      h.shm_slots = r.u32_();
-      h.shm_name = r.str_();
-      h.data_digest = r.bool_();
-      if (r.remaining() >= 1 + 8 + 8) {  // rev 2: trace-context + clock echo
-        h.trace_ctx = r.bool_();
-        h.echo_t_ns = r.u64_();
-        h.t_now_ns = r.u64_();
-      }
-      // rev 4: admission verdict (1 + 4 fixed bytes + the reject reason's
-      // u32 length prefix). Short (older-peer) headers default to admitted.
-      if (r.remaining() >= 1 + 4 + 4) {
-        h.admitted = r.bool_();
-        h.retry_after_ms = r.u32_();
-        h.reject_reason = r.str_();
-      }
-      return PduHeader{h};
-    }
-    case PduType::kCapsuleCmd: {
-      CapsuleCmd h;
-      h.cmd = decode_cmd(r);
-      h.placement = static_cast<DataPlacement>(r.u8_());
-      h.in_capsule_data = r.bool_();
-      h.shm_slot = r.u32_();
-      h.data_len = r.u64_();
-      h.gen = r.u16_();
-      if (r.remaining() >= 8 + 8) {  // rev 2: trace context
-        h.trace_id = r.u64_();
-        h.parent_span = r.u64_();
-      }
-      return PduHeader{h};
-    }
-    case PduType::kCapsuleResp: {
-      CapsuleResp h;
-      h.cpl.cid = r.u16_();
-      h.cpl.status = static_cast<NvmeStatus>(r.u16_());
-      h.cpl.result = r.u64_();
-      h.io_time_ns = r.u64_();
-      h.target_time_ns = r.u64_();
-      h.gen = r.u16_();
-      return PduHeader{h};
-    }
-    case PduType::kR2T: {
-      R2T h;
-      h.cid = r.u16_();
-      h.ttag = r.u16_();
-      h.offset = r.u64_();
-      h.length = r.u64_();
-      h.gen = r.u16_();
-      return PduHeader{h};
-    }
-    case PduType::kH2CData: {
-      H2CData h;
-      h.cid = r.u16_();
-      h.ttag = r.u16_();
-      h.offset = r.u64_();
-      h.length = r.u64_();
-      h.last = r.bool_();
-      h.placement = static_cast<DataPlacement>(r.u8_());
-      h.shm_slot = r.u32_();
-      h.gen = r.u16_();
-      h.data_digest = r.u32_();
-      return PduHeader{h};
-    }
-    case PduType::kC2HData: {
-      C2HData h;
-      h.cid = r.u16_();
-      h.offset = r.u64_();
-      h.length = r.u64_();
-      h.last = r.bool_();
-      h.success = r.bool_();
-      h.placement = static_cast<DataPlacement>(r.u8_());
-      h.shm_slot = r.u32_();
-      h.io_time_ns = r.u64_();
-      h.target_time_ns = r.u64_();
-      h.gen = r.u16_();
-      h.data_digest = r.u32_();
-      return PduHeader{h};
-    }
-    case PduType::kH2CTermReq:
-    case PduType::kC2HTermReq: {
-      TermReq h;
-      h.from_host = r.bool_();
-      h.fes = r.u16_();
-      h.reason = r.str_();
-      return PduHeader{h};
-    }
-    case PduType::kKeepAlive: {
-      KeepAlive h;
-      h.from_host = r.bool_();
-      h.seq = r.u64_();
-      if (r.remaining() >= 8 + 8) {  // rev 2: clock-offset echo
-        h.t_sent_ns = r.u64_();
-        h.echo_t_ns = r.u64_();
-      }
-      return PduHeader{h};
-    }
-    case PduType::kShmDemote: {
-      ShmDemote h;
-      h.reason = r.str_();
-      return PduHeader{h};
-    }
-    case PduType::kAnaLog: {
-      AnaLog h;
-      h.state = static_cast<AnaState>(r.u8_());
-      h.change_seq = r.u64_();
-      h.reason = r.str_();
-      return PduHeader{h};
-    }
-    case PduType::kAnomalyReq: {
-      AnomalyReq h;
-      h.trace_id = r.u64_();
-      h.t_from_ns = static_cast<i64>(r.u64_());
-      h.t_to_ns = static_cast<i64>(r.u64_());
-      h.offset_ns = static_cast<i64>(r.u64_());
-      return PduHeader{h};
-    }
-    case PduType::kAnomalyResp: {
-      AnomalyResp h;
-      h.trace_id = r.u64_();
-      h.pid = r.u64_();
-      h.event_count = r.u32_();
-      return PduHeader{h};
-    }
+    walk(r, out.emplace<I>());
+    return true;
   }
-  return make_error(StatusCode::kProtocolError, "unknown PDU type");
 }
+
+// The field lists against the hand-counted widths in wire_contract.h.
+static_assert(wire_bytes(NvmeCmd{}) == kWireCmdBytes);
+static_assert(wire_bytes(NvmeCpl{}) == kWireCplBytes);
+static_assert(wire_bytes(ICReq{}) == kWireICReqBytes);
+static_assert(wire_bytes(ICResp{}) ==
+              kWireICRespBytes + 2 * kWireStrPrefixBytes);
+static_assert(wire_bytes(CapsuleCmd{}) == kWireCapsuleCmdBytes);
+static_assert(wire_bytes(CapsuleResp{}) == kWireCapsuleRespBytes);
+static_assert(wire_bytes(R2T{}) == kWireR2TBytes);
+static_assert(wire_bytes(H2CData{}) == kWireH2CDataBytes);
+static_assert(wire_bytes(C2HData{}) == kWireC2HDataBytes);
+static_assert(wire_bytes(TermReq{}) ==
+              kWireTermReqFixedBytes + kWireStrPrefixBytes);
+static_assert(wire_bytes(KeepAlive{}) == kWireKeepAliveBytes);
+static_assert(wire_bytes(ShmDemote{}) ==
+              kWireShmDemoteFixedBytes + kWireStrPrefixBytes);
+static_assert(wire_bytes(AnaLog{}) ==
+              kWireAnaLogFixedBytes + kWireStrPrefixBytes);
+static_assert(wire_bytes(AnomalyReq{}) == kWireAnomalyReqBytes);
+static_assert(wire_bytes(AnomalyResp{}) == kWireAnomalyRespBytes);
 
 }  // namespace
 
 PduType Pdu::type() const {
-  return std::visit(
-      [this](const auto& h) -> PduType {
-        using T = std::decay_t<decltype(h)>;
-        if constexpr (std::is_same_v<T, ICReq>) return PduType::kICReq;
-        if constexpr (std::is_same_v<T, ICResp>) return PduType::kICResp;
-        if constexpr (std::is_same_v<T, CapsuleCmd>) return PduType::kCapsuleCmd;
-        if constexpr (std::is_same_v<T, CapsuleResp>) return PduType::kCapsuleResp;
-        if constexpr (std::is_same_v<T, R2T>) return PduType::kR2T;
-        if constexpr (std::is_same_v<T, H2CData>) return PduType::kH2CData;
-        if constexpr (std::is_same_v<T, C2HData>) return PduType::kC2HData;
-        if constexpr (std::is_same_v<T, TermReq>) {
-          return h.from_host ? PduType::kH2CTermReq : PduType::kC2HTermReq;
-        }
-        if constexpr (std::is_same_v<T, KeepAlive>) return PduType::kKeepAlive;
-        if constexpr (std::is_same_v<T, ShmDemote>) return PduType::kShmDemote;
-        if constexpr (std::is_same_v<T, AnaLog>) return PduType::kAnaLog;
-        if constexpr (std::is_same_v<T, AnomalyReq>) {
-          return PduType::kAnomalyReq;
-        }
-        if constexpr (std::is_same_v<T, AnomalyResp>) {
-          return PduType::kAnomalyResp;
-        }
-      },
-      header);
+  return std::visit([](const auto& h) { return type_of(h); }, header);
 }
 
 const char* to_string(PduType t) {
-  switch (t) {
-    case PduType::kICReq:
-      return "ICReq";
-    case PduType::kICResp:
-      return "ICResp";
-    case PduType::kH2CTermReq:
-      return "H2CTermReq";
-    case PduType::kC2HTermReq:
-      return "C2HTermReq";
-    case PduType::kCapsuleCmd:
-      return "CapsuleCmd";
-    case PduType::kCapsuleResp:
-      return "CapsuleResp";
-    case PduType::kH2CData:
-      return "H2CData";
-    case PduType::kC2HData:
-      return "C2HData";
-    case PduType::kR2T:
-      return "R2T";
-    case PduType::kKeepAlive:
-      return "KeepAlive";
-    case PduType::kShmDemote:
-      return "ShmDemote";
-    case PduType::kAnaLog:
-      return "AnaLog";
-    case PduType::kAnomalyReq:
-      return "AnomalyReq";
-    case PduType::kAnomalyResp:
-      return "AnomalyResp";
-  }
-  return "?";
+  // Indexed by tag; 0x08 is unassigned.
+  static constexpr const char* kNames[] = {
+      "ICReq",       "ICResp",    "H2CTermReq", "C2HTermReq", "CapsuleCmd",
+      "CapsuleResp", "H2CData",   "C2HData",    "?",          "R2T",
+      "KeepAlive",   "ShmDemote", "AnaLog",     "AnomalyReq", "AnomalyResp"};
+  const auto i = static_cast<u8>(t);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 const char* to_string(AnaState s) {
@@ -460,32 +361,17 @@ std::vector<u8> encode(const Pdu& pdu, const CodecOptions& opts) {
 void encode_header(const Pdu& pdu, const CodecOptions& opts,
                    std::vector<u8>& out) {
   out.clear();
+  const u64 hlen = wire_size(pdu) - pdu.payload.size();
+  if (hlen > UINT16_MAX) return;  // typed headers are tiny: a program bug
+  const u64 digest_bytes = opts.header_digest ? 4 : 0;
   Writer w(out);
-  w.u8_(static_cast<u8>(pdu.type()));
-  w.u8_(opts.header_digest ? kFlagHeaderDigest : 0);
-  w.u16_(0);  // hlen placeholder
-  w.u32_(0);  // plen placeholder
-  encode_header(w, pdu.header);
-
-  const u64 hlen = out.size();
-  if (hlen > UINT16_MAX) {
-    // Typed headers are tiny; this would be a programming error.
-    out.clear();
-    return;
-  }
-  out[2] = static_cast<u8>(hlen);
-  out[3] = static_cast<u8>(hlen >> 8);
-
-  // plen must be final before the digest is computed — the digest covers
-  // the common header including the length field.
-  const u64 plen =
-      hlen + (opts.header_digest ? 4 : 0) + pdu.payload.size();
-  for (int i = 0; i < 4; ++i) out[4 + i] = static_cast<u8>(plen >> (8 * i));
-
-  if (opts.header_digest) {
-    const u32 digest = crc32c(std::span<const u8>(out.data(), out.size()));
-    w.u32_(digest);
-  }
+  w.field(pdu.type());
+  w.field(opts.header_digest ? kFlagHeaderDigest : u8{0});
+  w.field(static_cast<u16>(hlen));
+  w.field(static_cast<u32>(hlen + digest_bytes + pdu.payload.size()));
+  std::visit([&w](const auto& h) { walk(w, h); }, pdu.header);
+  // The digest covers the common header, length fields included.
+  if (opts.header_digest) w.field(crc32c(out));
 }
 
 Result<u64> frame_length(std::span<const u8> prefix) {
@@ -535,24 +421,20 @@ Result<Pdu> decode_prefix(std::span<const u8> bytes, u64 plen,
   }
   if (has_digest) {
     u32 stored = 0;
-    for (int i = 0; i < 4; ++i) {
-      stored |= static_cast<u32>(bytes[hlen + static_cast<u64>(i)]) << (8 * i);
-    }
-    const u32 computed = crc32c(bytes.subspan(0, hlen));
-    if (stored != computed) {
+    Reader(bytes.subspan(hlen, 4)).field(stored);
+    if (stored != crc32c(bytes.subspan(0, hlen))) {
       return make_error(StatusCode::kDataLoss, "header digest mismatch");
     }
   }
 
   Reader r(bytes.subspan(kCommonHeaderBytes, hlen - kCommonHeaderBytes));
-  auto header = decode_header(static_cast<PduType>(type_raw), r);
-  if (!header) return header.status();
+  Pdu pdu;
+  if (!read_typed(static_cast<PduType>(type_raw), r, pdu.header)) {
+    return make_error(StatusCode::kProtocolError, "unknown PDU type");
+  }
   if (!r.ok()) {
     return make_error(StatusCode::kProtocolError, "truncated typed header");
   }
-
-  Pdu pdu;
-  pdu.header = std::move(header).take();
   return pdu;
 }
 
@@ -577,11 +459,9 @@ Result<Pdu> decode_head(std::span<const u8> head, u64 frame_len,
 }
 
 u64 wire_size(const Pdu& pdu) {
-  // Cheap exact computation: encode header-only. Headers are tiny (< 100 B)
-  // so this is fine off the data path; the timing plane caches sizes.
-  Pdu header_only;
-  header_only.header = pdu.header;
-  return encode(header_only).size() + pdu.payload.size();
+  return kCommonHeaderBytes +
+         std::visit([](const auto& h) { return wire_bytes(h); }, pdu.header) +
+         pdu.payload.size();
 }
 
 }  // namespace oaf::pdu

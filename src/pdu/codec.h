@@ -2,7 +2,8 @@
 //
 // Wire layout (little-endian):
 //   common header: [type:1][flags:1][hlen:2][plen:4]
-//   typed fields (hlen - 8 bytes)
+//   typed fields (hlen - 8 bytes), in the order of codec.cpp's one field
+//   list per header, which encoding, decoding and wire_size() all walk
 //   optional header digest (CRC32C over common header + typed fields)
 //   payload (plen - header - digest bytes)
 //

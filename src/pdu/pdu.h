@@ -22,9 +22,10 @@
 // clock so the host can estimate the clock offset NTP-style; CapsuleCmd then
 // carries a 64-bit trace id + parent span id, and KeepAlive echoes carry
 // timestamps to keep the offset estimate fresh. All new fields are appended
-// at the *end* of the typed headers: the codec tolerates both short (old
-// peer) and long (new peer) headers, so mixed-version associations work —
-// the feature simply stays off.
+// at the *end* of the typed headers, as a tail of the header's field list
+// in codec.cpp (a struct member not in that list never reaches the wire):
+// the codec tolerates both short (old peer) and long (new peer) headers, so
+// mixed-version associations work — the feature simply stays off.
 #pragma once
 
 #include <string>
@@ -273,8 +274,9 @@ struct Pdu {
   }
 };
 
-/// Wire size of an encoded PDU (common header + typed fields + payload),
-/// used by the timing plane to charge serialization costs without encoding.
+/// Wire size of an encoded PDU without a header digest (common header +
+/// typed fields + payload), used by the timing plane to charge
+/// serialization costs; it sizes the field lists and encodes nothing.
 u64 wire_size(const Pdu& pdu);
 
 }  // namespace oaf::pdu

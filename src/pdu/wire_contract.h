@@ -12,11 +12,11 @@
 //
 //  2. Serialized width of every fixed-size field the codec writes. The
 //     codec is explicitly little-endian field-by-field (never a struct
-//     memcpy), so its contract is the per-field byte widths; the constants
-//     below are cross-checked against the encoder in codec.cpp and against
-//     the member widths here. Variable-length fields (strings, payloads)
-//     carry their own u32 length prefix and are excluded from the fixed
-//     byte counts.
+//     memcpy), so its contract is the per-field byte widths. The constants
+//     below are counted by hand, an independent reference that codec.cpp
+//     static_asserts each header's field list against. Variable-length
+//     fields (strings, payloads) carry their own u32 length prefix and are
+//     excluded from the fixed byte counts.
 //
 // If a static_assert in this header fires, you are changing the wire or
 // shared-memory protocol: bump pdu::kVersion / shm ring kVersion and update
@@ -66,9 +66,9 @@ static_assert(offsetof(NvmeCpl, status) == 2);
 static_assert(offsetof(NvmeCpl, result) == 8);
 
 // ---------------------------------------------------------------------------
-// Serialized field widths (bytes on the wire, little-endian). Grouped per
-// PDU as written by codec.cpp's encode_header(); codec.cpp static_asserts
-// it writes exactly these many fixed bytes per header.
+// Serialized field widths (bytes on the wire, little-endian), grouped per
+// PDU in the order of codec.cpp's field lists; codec.cpp static_asserts
+// that each list's fixed bytes equal these.
 inline constexpr u64 kWireCmdBytes = 1 + 2 + 4 + 8 + 4 + 2 + 2;  // NvmeCmd
 inline constexpr u64 kWireCplBytes = 2 + 2 + 8;                  // NvmeCpl
 static_assert(kWireCmdBytes == sizeof(NvmeOpcode) + sizeof(NvmeCmd::cid) +

@@ -1,9 +1,9 @@
 // Single-producer single-consumer lock-free ring for fixed-size POD records.
 //
-// Used as the in-memory notification queue between reactor threads on the
-// functional plane (an alternative to socket notifications for co-located
-// endpoints) and stress-tested as part of the lock-free property suite.
-// Classic Lamport queue with cached cursors to halve coherence traffic.
+// No engine uses it (shm payloads are notified over the control channel);
+// it is a candidate ring for a shared-memory control plane, exercised by
+// its stress tests and the model checker. Classic Lamport queue with
+// cached cursors to halve coherence traffic.
 //
 // Templatized over an atomics policy (common/atomics_policy.h): the default
 // StdAtomicsPolicy compiles to exactly the pre-policy code, while

@@ -162,6 +162,8 @@ TEST(AfEndpointTest, DstTooSmallFails) {
   pair.target_.consume_payload(0, tiny, [&](Result<u64> r) { got = r; });
   pair.sched_.run();
   EXPECT_FALSE(got.is_ok());
+  // The failed consume released the slot: the producer can stage again.
+  EXPECT_TRUE(pair.client_.stage_payload(0, std::vector<u8>(100), [] {}));
 }
 
 TEST(AfEndpointTest, LockedStageReadsItsSourceAtOnce) {

@@ -274,11 +274,11 @@ TEST(TargetUnitTest, H2CWrappingOffsetRejectedPerCommand) {
   EXPECT_EQ(h.target->inflight_now(), 0u);
 }
 
-TEST(TargetUnitTest, StagingHoleReachesTheDeviceAsZeros) {
-  // Two H2CData chunks both at offset 0 each fit the staging buffer and
-  // together reach its length, so its second half is never written. That
-  // hole must reach the device as zeros, never as the bytes an earlier
-  // command left in recycled staging.
+TEST(TargetUnitTest, OutOfOrderH2CDataFailsTheWrite) {
+  // Each chunk must start where the last accepted one ended. An overlapping
+  // chunk and a chunk that skips ahead each pass range_fits, and with their
+  // siblings add up to the command's length, yet would leave part of the
+  // staging buffer unwritten: both fail their write before the device.
   TargetHarness h;
   h.send(icreq(1, false));
   auto r2t_write = [&h](u16 cid, u64 slba) {
@@ -303,39 +303,49 @@ TEST(TargetUnitTest, StagingHoleReachesTheDeviceAsZeros) {
     p.payload.assign(16 * 1024, fill);
     h.send(std::move(p));
   };
+  auto resp_of = [&h](u16 cid) -> const pdu::CapsuleResp* {
+    for (const auto& p : h.received) {
+      const auto* r = p.as<pdu::CapsuleResp>();
+      if (r != nullptr && r->cpl.cid == cid) return r;
+    }
+    return nullptr;
+  };
   r2t_write(1, 0);
   h2c(1, 0, 0xAB);
-  h2c(1, 16 * 1024, 0xAB);
+  h2c(1, 0, 0xAB);  // overlaps the first chunk
   r2t_write(2, 64);
-  h2c(2, 0, 0xCD);
-  h2c(2, 0, 0xCD);
-  int ok = 0;
-  for (const auto& p : h.received) {
-    if (const auto* r = p.as<pdu::CapsuleResp>()) ok += r->cpl.ok() ? 1 : 0;
+  h2c(2, 16 * 1024, 0xCD);  // skips the first 16 KiB
+  for (const u16 cid : {1, 2}) {
+    const auto* r = resp_of(cid);
+    ASSERT_NE(r, nullptr) << "cid " << cid;
+    EXPECT_EQ(r->cpl.status, pdu::NvmeStatus::kDataTransferError);
   }
-  ASSERT_EQ(ok, 2);
-  h.received.clear();
+  EXPECT_EQ(h.target->inflight_now(), 0u);
 
+  // Neither write reached the device: both ranges still read as zeros.
+  h.received.clear();
   pdu::CapsuleCmd read;
   read.cmd.opcode = pdu::NvmeOpcode::kRead;
   read.cmd.cid = 3;
   read.cmd.nsid = 1;
-  read.cmd.slba = 64;
-  read.cmd.nlb = 63;
+  read.cmd.slba = 0;
+  read.cmd.nlb = 127;
   pdu::Pdu p;
   p.header = read;
   h.send(std::move(p));
-
-  std::vector<u8> data(32 * 1024, 0xEE);
+  std::vector<u8> data(64 * 1024, 0xEE);
+  u64 got = 0;
   for (const auto& d : h.received) {
     if (const auto* c2h = d.as<pdu::C2HData>()) {
       ASSERT_TRUE(pdu::range_fits(c2h->offset, d.payload.size(), data.size()));
       std::copy(d.payload.begin(), d.payload.end(),
                 data.begin() + static_cast<std::ptrdiff_t>(c2h->offset));
+      got += d.payload.size();
     }
   }
+  ASSERT_EQ(got, data.size());
   for (u64 i = 0; i < data.size(); ++i) {
-    ASSERT_EQ(data[i], i < 16 * 1024 ? 0xCD : 0x00) << "byte " << i;
+    ASSERT_EQ(data[i], 0x00) << "byte " << i;
   }
 }
 
