@@ -72,7 +72,7 @@ FailoverRun run_session(const std::string& selector, bool kill) {
     // exercises the group's re-drive, not the path's own reconnect. The
     // command deadline is what turns the dead path's orphans into
     // re-drivable failures.
-    iopts.reconnect.max_attempts = 0;
+    iopts.recovery.max_attempts = 0;
     iopts.command_timeout_ns = 5'000'000;
     group.add_path(std::make_unique<nvmf::NvmfInitiator>(
         sched,

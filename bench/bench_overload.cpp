@@ -72,9 +72,8 @@ OverloadRun run_session(bool capped, const std::string& shed_policy) {
   iopts.af = af::AfConfig::stock_tcp();
   iopts.queue_depth = 32;
   iopts.connection_name = "bench.overload";
-  iopts.reconnect.max_attempts = 5;
-  iopts.reconnect.initial_backoff_ns = 1'000'000;
-  iopts.reconnect.max_command_retries = 128;
+  iopts.recovery.max_attempts = 5;
+  iopts.recovery.max_command_retries = 128;
   nvmf::NvmfInitiator initiator(
       sched,
       [&sched, &service]() -> std::unique_ptr<net::MsgChannel> {

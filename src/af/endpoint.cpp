@@ -65,10 +65,12 @@ bool AfEndpoint::demote_shm() {
   return true;
 }
 
-void AfEndpoint::detach_shm() {
+std::shared_ptr<void> AfEndpoint::detach_shm() {
+  std::shared_ptr<void> mapping = std::move(handle_.keepalive);
   handle_ = RegionHandle{};
   ring_ = shm::DoubleBufferRing{};
   demoted_ = false;
+  return mapping;
 }
 
 bool AfEndpoint::shm_healthy() const {

@@ -63,7 +63,9 @@ class AfEndpoint {
 
   /// Drop the ring mapping entirely (reconnect teardown). Pending slot
   /// consumers fail; callers must have drained or failed in-flight I/O.
-  void detach_shm();
+  /// Returns what keeps the old mapping alive, for a caller that still
+  /// lends out a buffer in it.
+  std::shared_ptr<void> detach_shm();
 
   /// Cheap data-path health probe: the helper's locality page must still
   /// announce exactly the region this endpoint mapped. A revoked or

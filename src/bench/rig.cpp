@@ -177,7 +177,9 @@ Rig::Rig(sim::Scheduler& sched, RigOptions opts, std::vector<StreamSpec> streams
     af::ShmBroker& client_broker = uses_shm ? host_broker_ : remote_broker_;
     const std::string conn_name = "rig_conn" + std::to_string(index);
 
-    nvmf::TargetOptions topts{cfg, conn_name};
+    nvmf::TargetOptions topts;
+    topts.af = cfg;
+    topts.connection_name = conn_name;
     stream->target = std::make_unique<nvmf::NvmfTargetConnection>(
         sched_, *stream->target_ch, *stream->target_copier, host_broker_,
         *stream->subsystem, topts);

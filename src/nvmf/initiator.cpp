@@ -1,5 +1,6 @@
 #include "nvmf/initiator.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "af/chunker.h"
@@ -17,8 +18,7 @@ using pdu::NvmeOpcode;
 using pdu::Pdu;
 
 namespace {
-constexpr DurNs kMaxBackoffNs = 1'000'000'000;  ///< reconnect backoff ceiling
-constexpr u64 kJitterSeed = 1;                  ///< reconnect jitter stream
+constexpr u64 kJitterSeed = 1;  ///< the recovery jitter stream
 }  // namespace
 
 void NvmfInitiator::init_telemetry() {
@@ -112,7 +112,7 @@ NvmfInitiator::NvmfInitiator(Executor& exec, net::MsgChannel* control,
 
 void NvmfInitiator::send_icreq() {
   pdu::ICReq req = cm_.make_icreq(opts_.af);
-  req.kato_ns = opts_.reconnect.kato_ns;
+  req.kato_ns = opts_.recovery.kato_ns;
   req.t_sent_ns = static_cast<u64>(exec_.now());  // NTP t1, echoed in ICResp
   Pdu pdu;
   pdu.header = req;
@@ -217,23 +217,11 @@ void NvmfInitiator::on_icresp(const pdu::ICResp& resp) {
     if (reconnecting_) {
       counters_.reconnect_failures++;
       telemetry::bump(tel_.reconnect_failures);
-      const u32 next = reconnect_attempt_ + 1;
-      if (next > opts_.reconnect.max_attempts) {
-        abort_connection("connect admission rejected");
-        return;
-      }
-      DurNs delay = backoff_for_attempt(next);
-      const DurNs floor =
-          static_cast<DurNs>(resp.retry_after_ms) * 1'000'000;
-      if (delay < floor) delay = floor;
-      exec_.schedule_after(delay, [this, alive = alive_, next] {
-        exec_serial_.assume_held();
-        if (!*alive || dead_ || !reconnecting_) return;
-        do_reconnect(next);
-      });
+      schedule_reconnect(reconnect_attempt_ + 1,
+                         static_cast<DurNs>(resp.retry_after_ms) * 1'000'000);
       return;
     }
-    if (opts_.reconnect.enabled() && factory_) {
+    if (opts_.recovery.reconnect_enabled() && factory_) {
       // First connect: enter the normal recovery ladder, which re-dials
       // with backoff until the target has room (or attempts run out).
       recover("connect admission rejected");
@@ -277,17 +265,7 @@ void NvmfInitiator::on_icresp(const pdu::ICResp& resp) {
     telemetry::bump(tel_.reconnects);
     telemetry::tracer().instant(tel_.track, "resilience",
                                 "reconnected", 0, exec_.now());
-    // Replay harvested in-flight commands first so they re-enter the queue
-    // ahead of commands that were still waiting — the original submission
-    // order is preserved.
-    std::deque<Pending> replay;
-    replay.swap(replay_);
-    for (auto& p : replay) {
-      counters_.commands_retried++;
-      telemetry::bump(tel_.retried);
-      submit_or_queue(std::move(p));
-    }
-    drain_queue();
+    drain_queue();  // the harvested commands first (recover() queued them)
   }
   fire_event(PathEvent::kConnected);
   if (connect_cb_) {
@@ -307,7 +285,7 @@ bool NvmfInitiator::replayable(const Pending& p) const {
   // flush, and identify all replay safely: the API contract keeps wdata
   // alive until the completion callback fires.
   return !dead_ && !p.zero_copy && !p.view_cb &&
-         p.attempts < opts_.reconnect.max_command_retries;
+         p.attempts < opts_.recovery.max_command_retries;
 }
 
 void NvmfInitiator::end_attempt(Pending& p) {
@@ -344,7 +322,7 @@ void NvmfInitiator::fail_pending(Pending& p) {
 
 void NvmfInitiator::recover(const char* reason) {
   if (dead_ || reconnecting_) return;
-  if (!opts_.reconnect.enabled() || !factory_) {
+  if (!opts_.recovery.reconnect_enabled() || !factory_) {
     abort_connection(reason);
     return;
   }
@@ -353,6 +331,7 @@ void NvmfInitiator::recover(const char* reason) {
                               exec_.now());
   reconnecting_ = true;
   connected_ = false;
+  association_++;  // voids every outstanding zero-copy write ticket
   // Announce before harvesting: a PathGroup must mark this path ineligible
   // ahead of the failure completions the harvest is about to deliver, or it
   // would re-drive them right back onto the faulted path.
@@ -364,43 +343,54 @@ void NvmfInitiator::recover(const char* reason) {
   aborts_.clear();
   consecutive_abort_failures_ = 0;
   control_->close();
-  // Harvest in-flight commands into the replay queue; anything unsafe to
-  // replay (or out of budget) fails now, exactly once.
+  // The shm region dies with the association; the reconnect handshake
+  // negotiates a fresh one (or falls back to TCP).
+  const std::shared_ptr<void> old_mapping = ep_.detach_shm();
+  // Harvest in-flight commands to the head of the waiting queue, in cid
+  // order (collected first: a failed command's callback may queue new work
+  // meanwhile); anything unsafe to replay (or out of budget) fails now,
+  // exactly once. A ticket is not a command: it keeps its cid and the
+  // mapping its buffer points into until it comes back.
+  std::deque<Pending> harvested;
   for (u16 cid = 0; cid < inflight_.size(); ++cid) {
     if (!slot_busy_[cid]) continue;
+    if (inflight_[cid].reserved_in != 0) {
+      inflight_[cid].old_mapping = old_mapping;
+      continue;
+    }
     Pending p = std::move(inflight_[cid]);
     release_cid(cid);  // drains nothing: reconnecting_ holds the queue
     if (replayable(p)) {
       end_attempt(p);
-      replay_.push_back(std::move(p));
+      counters_.commands_retried++;
+      telemetry::bump(tel_.retried);
+      harvested.push_back(std::move(p));
     } else {
       fail_pending(p);
     }
   }
-  // The shm region dies with the association; the reconnect handshake
-  // negotiates a fresh one (or falls back to TCP).
-  ep_.detach_shm();
+  waiting_.insert(waiting_.begin(), std::make_move_iterator(harvested.begin()),
+                  std::make_move_iterator(harvested.end()));
   schedule_reconnect(1);
 }
 
 DurNs NvmfInitiator::backoff_for_attempt(u32 attempt) {
-  DurNs backoff = opts_.reconnect.initial_backoff_ns;
-  for (u32 i = 1; i < attempt && backoff < kMaxBackoffNs; ++i) backoff *= 2;
-  if (backoff > kMaxBackoffNs) backoff = kMaxBackoffNs;
-  if (opts_.reconnect.jitter_frac > 0.0) {
-    const double j =
-        opts_.reconnect.jitter_frac * (2.0 * jitter_rng_.next_double() - 1.0);
-    backoff += static_cast<DurNs>(static_cast<double>(backoff) * j);
-  }
+  constexpr DurNs kMax = RecoveryPolicy::kMaxBackoffNs;
+  DurNs backoff = RecoveryPolicy::kInitialBackoffNs;
+  for (u32 i = 1; i < attempt && backoff < kMax; ++i) backoff *= 2;
+  if (backoff > kMax) backoff = kMax;
+  const double j = RecoveryPolicy::kJitterFrac *
+                   (2.0 * jitter_rng_.next_double() - 1.0);
+  backoff += static_cast<DurNs>(static_cast<double>(backoff) * j);
   return backoff < 0 ? 0 : backoff;
 }
 
-void NvmfInitiator::schedule_reconnect(u32 attempt) {
-  if (attempt > opts_.reconnect.max_attempts) {
+void NvmfInitiator::schedule_reconnect(u32 attempt, DurNs floor) {
+  if (attempt > opts_.recovery.max_attempts) {
     abort_connection("reconnect attempts exhausted");
     return;
   }
-  const DurNs backoff = backoff_for_attempt(attempt);
+  const DurNs backoff = std::max(backoff_for_attempt(attempt), floor);
   exec_.schedule_after(backoff, [this, alive = alive_, attempt] {
     exec_serial_.assume_held();
     if (!*alive || dead_ || !reconnecting_) return;
@@ -428,10 +418,10 @@ void NvmfInitiator::do_reconnect(u32 attempt) {
   });
   governor_.attach(control_);
   send_icreq();
-  if (opts_.reconnect.handshake_timeout_ns <= 0) return;
+  if (opts_.recovery.handshake_timeout_ns <= 0) return;
   const u64 epoch = handshake_epoch_;
   exec_.schedule_after(
-      opts_.reconnect.handshake_timeout_ns,
+      opts_.recovery.handshake_timeout_ns,
       [this, alive = alive_, attempt, epoch] {
         exec_serial_.assume_held();
         if (!*alive || dead_ || !reconnecting_) return;
@@ -462,9 +452,9 @@ void NvmfInitiator::demote_shm(const std::string& reason) {
 // --------------------------------------------------------------------------
 
 void NvmfInitiator::schedule_keepalive() {
-  if (opts_.reconnect.keepalive_interval_ns <= 0) return;
+  if (opts_.recovery.keepalive_interval_ns <= 0) return;
   const u64 epoch = ka_epoch_;
-  exec_.schedule_after(opts_.reconnect.keepalive_interval_ns,
+  exec_.schedule_after(opts_.recovery.keepalive_interval_ns,
                        [this, alive = alive_, epoch] {
                          exec_serial_.assume_held();
                          if (!*alive || dead_ || epoch != ka_epoch_) return;
@@ -483,7 +473,7 @@ void NvmfInitiator::keepalive_tick() {
       counters_.keepalive_misses++;
       telemetry::bump(tel_.ka_misses);
       ka_misses_++;
-      if (ka_misses_ >= opts_.reconnect.keepalive_miss_limit) {
+      if (ka_misses_ >= RecoveryPolicy::kKeepaliveMissLimit) {
         ka_misses_ = 0;
         ka_outstanding_ = false;
         schedule_keepalive();
@@ -533,7 +523,7 @@ void NvmfInitiator::on_deadline(u16 cid, u64 generation) {
   telemetry::tracer().instant(tel_.track, "resilience", "deadline_expired",
                               generation, exec_.now());
   timeouts_++;
-  if (!opts_.escalation.enabled() || reconnecting_) {
+  if (!opts_.recovery.aborts_enabled() || reconnecting_) {
     // Legacy semantics: a deadline expiry is a transport fault.
     recover("command timeout");
     return;
@@ -559,7 +549,7 @@ void NvmfInitiator::send_abort(u16 victim_cid) {
   telemetry::tracer().instant(tel_.track, "resilience", "abort_sent",
                               p.generation, exec_.now());
   OAF_WARN_RL("initiator: aborting stuck cid %u (attempt %u/%u, abort cid %u)",
-           victim_cid, p.abort_attempts, opts_.escalation.abort_budget, acid);
+           victim_cid, p.abort_attempts, opts_.recovery.abort_budget, acid);
   pdu::CapsuleCmd capsule;
   capsule.cmd.opcode = NvmeOpcode::kAbort;
   capsule.cmd.cid = acid;
@@ -582,12 +572,12 @@ void NvmfInitiator::on_abort_timeout(u16 abort_cid) {
   // Aborts ride the control channel. If they keep dying while shm is up,
   // suspect the fast path first and demote before burning the connection.
   if (ep_.shm_ready() && consecutive_abort_failures_ >=
-                             opts_.escalation.demote_after_failed_aborts) {
+                             RecoveryPolicy::kDemoteAfterFailedAborts) {
     demote_shm("aborts timing out while shm active");
   }
   // The victim may have resolved itself meanwhile.
   if (!holds(a.victim_cid, a.victim_generation)) return;
-  if (inflight_[a.victim_cid].abort_attempts < opts_.escalation.abort_budget) {
+  if (inflight_[a.victim_cid].abort_attempts < opts_.recovery.abort_budget) {
     send_abort(a.victim_cid);
     return;
   }
@@ -655,15 +645,14 @@ void NvmfInitiator::abort_connection(const char* reason) {
   control_->close();
 
   for (u16 cid = 0; cid < inflight_.size(); ++cid) {
-    if (!slot_busy_[cid]) continue;
+    // A ticket is not a command: it fails when it comes back.
+    if (!slot_busy_[cid] || inflight_[cid].reserved_in != 0) continue;
     complete(cid, {cid, pdu::NvmeStatus::kDataTransferError, 0}, 0, 0);
   }
-  for (auto* queue : {&replay_, &waiting_}) {
-    while (!queue->empty()) {
-      Pending p = std::move(queue->front());
-      queue->pop_front();
-      fail_pending(p);
-    }
+  while (!waiting_.empty()) {
+    Pending p = std::move(waiting_.front());
+    waiting_.pop_front();
+    fail_pending(p);
   }
   if (connect_cb_) {
     // A first connect that entered the recovery ladder (e.g. an admission
@@ -1044,6 +1033,34 @@ void NvmfInitiator::on_resp(Pdu pdu) {
   complete(cid, resp.cpl, resp.io_time_ns, resp.target_time_ns);
 }
 
+bool NvmfInitiator::retry_in_place(u16 cid, bool queue_full) {
+  Pending& p = inflight_[cid];
+  if (!replayable(p)) return false;
+  end_attempt(p);
+  telemetry::tracer().instant(
+      tel_.track, queue_full ? "overload" : "resilience",
+      queue_full ? "queue_full_backoff" : "retry", p.generation, exec_.now());
+  if (!queue_full) {
+    counters_.commands_retried++;
+    telemetry::bump(tel_.retried);
+    start_command(cid);  // a fresh gen tag fences the failed attempt's PDUs
+    return true;
+  }
+  // The target refused the command before it touched the medium. Hold the
+  // cid through a jittered backoff with the deadline parked: the command is
+  // off the wire, so an expiry would abort what the target no longer has.
+  counters_.queue_full_retries++;
+  wheel_.cancel(cid);
+  const DurNs backoff = backoff_for_attempt(p.attempts);
+  congested_until_ = std::max(congested_until_, exec_.now() + backoff);
+  exec_.schedule_after(backoff, [this, alive = alive_, cid,
+                                 generation = p.generation] {
+    exec_serial_.assume_held();
+    if (*alive && !dead_ && holds(cid, generation)) start_command(cid);
+  });
+  return true;
+}
+
 void NvmfInitiator::release_cid(u16 cid) {
   wheel_.cancel(cid);
   slot_busy_[cid] = false;
@@ -1056,62 +1073,23 @@ void NvmfInitiator::complete(u16 cid, const pdu::NvmeCpl& cpl, u64 io_ns,
                              u64 target_ns, Result<ReadView>* view) {
   const telemetry::prof::CostScope cost(telemetry::Stage::kComplete);
   Pending& p = inflight_[cid];
-  if (cpl.status == pdu::NvmeStatus::kTransientTransportError &&
-      replayable(p)) {
-    // Transport-level fault on an otherwise healthy association (e.g. a
-    // data-digest mismatch): replay in place on the same cid. A fresh gen
-    // tag fences any PDU still in flight from the failed attempt;
-    // start_command reopens kEncode.
-    end_attempt(p);
-    telemetry::tracer().instant(tel_.track, "resilience", "retry",
-                                p.generation, exec_.now());
-    counters_.commands_retried++;
-    telemetry::bump(tel_.retried);
-    start_command(cid);
-    return;
-  }
-  if (cpl.status == pdu::NvmeStatus::kQueueFull) {
+  const bool queue_full = cpl.status == pdu::NvmeStatus::kQueueFull;
+  if (queue_full) {
     counters_.queue_full_received++;
     telemetry::bump(tel_.queue_full);
     telemetry::tracer().instant(tel_.track, "overload", "queue_full_received",
                                 cid, exec_.now());
-    // Raise the congestion window on every reject — including those that
-    // surface to the caller (zero-copy commands are not replayed in place):
-    // congested() is how producers that manage their own buffers learn to
-    // stop offering work to a saturated target.
-    {
-      const TimeNs until = exec_.now() + backoff_for_attempt(p.attempts + 1);
-      if (until > congested_until_) congested_until_ = until;
-    }
-    if (replayable(p)) {
-      // NVMe-style backpressure: the target shed or refused this command
-      // before it touched the medium, so replaying it is always safe. Hold
-      // the cid slot through a jittered backoff (same deterministic stream
-      // as reconnects) and resubmit in place; meanwhile congested() tells
-      // drivers to stop offering new work.
-      end_attempt(p);
-      telemetry::tracer().instant(tel_.track, "overload",
-                                  "queue_full_backoff", p.generation,
-                                  exec_.now());
-      counters_.queue_full_retries++;
-      // Park the deadline for the backoff window — the command is not on
-      // the wire, so an expiry here would escalate (abort) a command the
-      // target no longer has. start_command re-arms on resubmit.
-      wheel_.cancel(cid);
-      const DurNs backoff = backoff_for_attempt(p.attempts);
-      const TimeNs until = exec_.now() + backoff;
-      if (until > congested_until_) congested_until_ = until;
-      const u64 generation = p.generation;
-      exec_.schedule_after(
-          backoff, [this, alive = alive_, cid, generation] {
-            exec_serial_.assume_held();
-            if (!*alive || dead_ || !holds(cid, generation)) return;
-            start_command(cid);
-          });
-      return;
-    }
-    // Out of retry budget (or not replayable): deliver the kQueueFull
-    // completion to the caller, who sees a retryable status.
+    // Raise the congestion window on every reject, including those that
+    // surface: congested() is how producers that manage their own buffers
+    // (zero-copy is not retried in place) learn to stop offering work.
+    congested_until_ = std::max(
+        congested_until_, exec_.now() + backoff_for_attempt(p.attempts + 1));
+  }
+  // A transport fault on a healthy association (e.g. a digest mismatch) or
+  // backpressure: retry in place; out of budget, the status surfaces.
+  if ((queue_full || cpl.status == pdu::NvmeStatus::kTransientTransportError) &&
+      retry_in_place(cid, queue_full)) {
+    return;
   }
   trace_end_span(p);
   if (cpl.status == pdu::NvmeStatus::kAbortedByRequest) {
@@ -1284,6 +1262,7 @@ Result<NvmfInitiator::WriteTicket> NvmfInitiator::zero_copy_write_begin(u64 len)
       next_cid_ = static_cast<u16>((cid + 1) % opts_.queue_depth);
       slot_busy_[cid] = true;
       inflight_count_++;
+      inflight_[cid].reserved_in = association_;
       return WriteTicket{cid, buf.value()};
     }
   }
@@ -1292,14 +1271,27 @@ Result<NvmfInitiator::WriteTicket> NvmfInitiator::zero_copy_write_begin(u64 len)
 
 void NvmfInitiator::zero_copy_write(const WriteTicket& ticket, u32 nsid,
                                     u64 slba, u64 len, IoCb cb) {
+  // A ticket dies with the association that reserved its cid. A dead
+  // initiator, a cid that holds no reservation, or one from an older
+  // association fails the write at once and touches no other command.
+  const u16 cid = ticket.cid;
+  const bool reserved = cid < inflight_.size() && slot_busy_[cid] &&
+                        inflight_[cid].reserved_in != 0;
+  if (dead_ || !reserved || inflight_[cid].reserved_in != association_) {
+    if (reserved) release_cid(cid);
+    IoResult res;
+    res.cpl.status = pdu::NvmeStatus::kDataTransferError;
+    std::move(cb)(res);
+    return;
+  }
   Pending p;
   p.cmd = make_cmd(NvmeOpcode::kWrite, nsid, slba, len, kBlockSize);
-  p.cmd.cid = ticket.cid;
+  p.cmd.cid = cid;
   p.data_len = len;
   p.zero_copy = true;
   p.cb = std::move(cb);
-  inflight_[ticket.cid] = std::move(p);
-  start_command(ticket.cid);
+  inflight_[cid] = std::move(p);
+  start_command(cid);
 }
 
 void NvmfInitiator::zero_copy_read(u32 nsid, u64 slba, u64 len, ReadViewCb cb) {

@@ -39,17 +39,16 @@ struct InitiatorOptions {
   af::AfConfig af;
   u32 queue_depth = 128;
   std::string connection_name = "conn0";
-  /// Per-command timeout; 0 disables. On expiry the escalation ladder runs
-  /// (abort -> demote -> recover) when `escalation` is enabled; otherwise
-  /// the connection is torn down (or, with a ReconnectPolicy, recovered)
-  /// and commands that cannot be replayed complete with kDataTransferError.
+  /// Per-command timeout; 0 disables. On expiry the abort ladder runs
+  /// (abort -> demote -> recover) when `recovery.abort_budget` is set;
+  /// otherwise the connection is recovered (or, without reconnection, torn
+  /// down) and commands that cannot be replayed complete with
+  /// kDataTransferError.
   DurNs command_timeout_ns = 0;
-  /// Recovery behaviour; disabled by default (legacy teardown semantics).
-  /// Reconnection additionally requires the ChannelFactory constructor.
-  ReconnectPolicy reconnect;
-  /// Per-command escalation on deadline expiry; disabled by default (a
-  /// deadline then goes straight to recover(), the PR-1 behaviour).
-  EscalationPolicy escalation;
+  /// The one per-command recovery policy; disabled by default (legacy
+  /// teardown semantics). Reconnection additionally requires the
+  /// ChannelFactory constructor.
+  RecoveryPolicy recovery;
 };
 
 /// One queue pair over one control channel. The application-facing types
@@ -68,7 +67,7 @@ class NvmfInitiator : public IoSession {
 
   /// Resilient constructor: the initiator dials through `factory` and can
   /// re-dial after a fault, replaying queued and safely-retryable in-flight
-  /// commands under opts.reconnect.
+  /// commands under opts.recovery.
   NvmfInitiator(Executor& exec, ChannelFactory factory, net::Copier& copier,
                 af::ShmBroker& broker, InitiatorOptions opts);
 
@@ -83,7 +82,6 @@ class NvmfInitiator : public IoSession {
     discard_completions(connect_cb_);
     for (Pending& p : inflight_) discard_pending(p);
     for (Pending& p : waiting_) discard_pending(p);
-    for (Pending& p : replay_) discard_pending(p);
   }
 
   /// Run the ICReq/ICResp handshake; cb(ok) once the fabric is established
@@ -276,8 +274,13 @@ class NvmfInitiator : public IoSession {
     u64 bytes_received = 0;   // TCP read reassembly progress
     u64 generation = 0;       // guards timeout callbacks against cid reuse
     u16 gen = 0;              // wire attempt tag (echoed by the target)
-    u32 attempts = 0;         // replays consumed from the retry budget
-    u32 abort_attempts = 0;   // aborts consumed from the escalation budget
+    u32 attempts = 0;         // retries consumed from the retry budget
+    u32 abort_attempts = 0;   // aborts consumed from the abort budget
+    // A zero-copy write ticket, not a command: the association that
+    // reserved the cid (0 = not a reservation), and the shm mapping its
+    // buffer points into once that association is gone.
+    u64 reserved_in = 0;
+    std::shared_ptr<void> old_mapping;
     telemetry::StageLedger ledger;  // per-stage latency attribution
   };
 
@@ -337,18 +340,24 @@ class NvmfInitiator : public IoSession {
 
   // Reconnect state machine.
   void recover(const char* reason) OAF_REQUIRES(exec_serial_);
-  void schedule_reconnect(u32 attempt) OAF_REQUIRES(exec_serial_);
+  /// Dial `attempt` after its backoff, but no sooner than `floor`; past
+  /// max_attempts the association is torn down instead.
+  void schedule_reconnect(u32 attempt, DurNs floor = 0)
+      OAF_REQUIRES(exec_serial_);
   void do_reconnect(u32 attempt) OAF_REQUIRES(exec_serial_);
   void send_icreq() OAF_REQUIRES(exec_serial_);
-  /// Jittered exponential backoff for `attempt` (1-based) under
-  /// opts_.reconnect — shared by the reconnect ladder and kQueueFull
-  /// command retries, so both pull from the same deterministic jitter
-  /// stream.
+  /// Jittered exponential backoff for `attempt` (1-based) — shared by the
+  /// reconnect ladder and kQueueFull command retries, so both pull from the
+  /// same deterministic jitter stream.
   [[nodiscard]] DurNs backoff_for_attempt(u32 attempt) OAF_REQUIRES(exec_serial_);
-  /// The replay-budget test: association up, replay-safe, attempts left.
+  /// The retry-budget test: association up, replay-safe, attempts left.
   [[nodiscard]] bool replayable(const Pending& p) const OAF_REQUIRES(exec_serial_);
   /// End an attempt, not the command: span end, kDetour, one attempt spent.
   void end_attempt(Pending& p) OAF_REQUIRES(exec_serial_);
+  /// The one in-place retry: within budget, end the attempt and restart the
+  /// command on its cid — at once, or after a backoff with its deadline
+  /// parked when the target answered kQueueFull. False when out of budget.
+  bool retry_in_place(u16 cid, bool queue_full) OAF_REQUIRES(exec_serial_);
   [[nodiscard]] bool stale(u16 pdu_gen, const Pending& p) const {
     return pdu_gen != 0 && p.gen != 0 && pdu_gen != p.gen;
   }
@@ -413,9 +422,9 @@ class NvmfInitiator : public IoSession {
   std::vector<Pending> inflight_ OAF_GUARDED_BY(exec_serial_);  // by cid
   std::vector<bool> slot_busy_ OAF_GUARDED_BY(exec_serial_);  // cid alloc map
   u16 next_cid_ OAF_GUARDED_BY(exec_serial_) = 0;  // round-robin cursor
-  std::deque<Pending> waiting_ OAF_GUARDED_BY(exec_serial_);  // beyond QD
-  std::deque<Pending> replay_
-      OAF_GUARDED_BY(exec_serial_);  // harvested, awaiting reconnect
+  /// Commands holding no cid: beyond QD, or harvested by recover() (those
+  /// go first, in cid order) and waiting for the reconnect.
+  std::deque<Pending> waiting_ OAF_GUARDED_BY(exec_serial_);
   DeadlineWheel wheel_
       OAF_GUARDED_BY(exec_serial_);  // per-command + per-abort deadlines
   std::unordered_map<u16, AbortCtx> aborts_
@@ -425,6 +434,7 @@ class NvmfInitiator : public IoSession {
   u64 next_generation_ OAF_GUARDED_BY(exec_serial_) = 1;
   u16 next_gen_ OAF_GUARDED_BY(exec_serial_) = 1;  // wire tags (0 reserved)
   bool dead_ OAF_GUARDED_BY(exec_serial_) = false;  // torn down for good
+  u64 association_ OAF_GUARDED_BY(exec_serial_) = 1;  // bumped by recover()
 
   bool reconnecting_ OAF_GUARDED_BY(exec_serial_) = false;
   u32 reconnect_attempt_ OAF_GUARDED_BY(exec_serial_) = 0;  // being dialed

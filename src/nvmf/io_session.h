@@ -88,7 +88,9 @@ class IoSession {
   virtual Result<WriteTicket> zero_copy_write_begin(u64 len) = 0;
 
   /// Submit the write for a ticket from zero_copy_write_begin. `len` bytes
-  /// of the ticket buffer are sent with no client-side copy.
+  /// of the ticket buffer are sent with no client-side copy. A ticket dies
+  /// with its association: after a reconnect or teardown the write fails
+  /// with kDataTransferError.
   virtual void zero_copy_write(const WriteTicket& ticket, u32 nsid, u64 slba,
                                u64 len, IoCb cb) = 0;
 

@@ -6,13 +6,6 @@
 
 namespace oaf::nvmf {
 
-namespace {
-/// Cross-path redrives per command before the failure is surfaced to the
-/// application. Distinct from (and stacked on top of) each path's own
-/// in-place retry budget.
-constexpr u32 kRedriveBudget = 3;
-}  // namespace
-
 void PathGroup::init_telemetry() {
   auto& m = telemetry::metrics();
   tel_.track = telemetry::tracer().track("pg:" + opts_.name);
@@ -24,7 +17,7 @@ void PathGroup::init_telemetry() {
                           "Submissions that waited for an eligible path");
   tel_.park_overflow =
       m.counter("oaf_pathgroup_park_overflow_total",
-                "Submissions failed fast at the max_parked bound");
+                "Submissions failed fast at the kMaxParked bound");
   tel_.duplicates =
       m.counter("oaf_pathgroup_duplicates_suppressed_total",
                 "Late completions fenced by the group sequence map");
@@ -132,7 +125,7 @@ void PathGroup::dispatch(u64 gseq) {
     // unless the parked queue is already at its bound, in which case this
     // submission fails fast with retryable backpressure instead of growing
     // the queue without limit (DESIGN.md §12).
-    if (parked_.size() >= opts_.max_parked) {
+    if (parked_.size() >= kMaxParked) {
       park_overflows_++;
       telemetry::bump(tel_.park_overflow);
       telemetry::tracer().instant(tel_.track, "overload", "park_overflow",
@@ -214,7 +207,6 @@ void PathGroup::finish_path_accounting(const GroupCmd& cmd) {
 }
 
 void PathGroup::note_redrive(u64 gseq, GroupCmd& cmd) {
-  cmd.redrives++;
   cmd.detour_start = exec_.now();
   redrives_++;
   failover_redrives_++;
@@ -247,10 +239,14 @@ void PathGroup::on_result(u64 gseq, const IoResult& res,
     return;
   }
   finish_path_accounting(it->second);
-  const bool failed = it->second.op == GroupCmd::Op::kIdentify
-                          ? !identified
-                          : !res.ok() && redrivable(res);
-  if (failed && it->second.redrives < kRedriveBudget) {
+  // Fail over, never retry: the path already spent the command's retry
+  // budget, so only a path that died hands its commands on. It never comes
+  // back, which bounds the moves by the path count.
+  const bool failed = it->second.op == GroupCmd::Op::kIdentify ? !identified
+                                                               : !res.ok();
+  NvmfInitiator& carrier = *paths_[it->second.path].init;
+  carrier.serial().assume_held();  // shared reactor (add_path contract)
+  if (failed && carrier.dead() && !all_dead()) {
     note_redrive(gseq, it->second);
     dispatch(gseq);  // re-selects; parks if no path is up right now
     return;

@@ -3,23 +3,24 @@
 // loss of any of them with zero failed I/Os (DESIGN.md §11).
 //
 // Each path is a full NvmfInitiator — its own control channel, cid space,
-// shm negotiation, and resilience ladder. The group adds three things on
-// top:
+// shm negotiation, and resilience ladder. The path is the only place that
+// retries a command. The group adds three things on top:
 //
 //   * ANA-aware selection: every submission snapshots the eligible paths
 //     (connected, not recovering, not dead, ANA != inaccessible; optimized
 //     preferred over non-optimized) and asks a pluggable PathSelector to
 //     pick one.
-//   * Seamless failover: a command that fails with a transport-shaped
-//     status (kDataTransferError / kAbortedByRequest) is re-driven on a
-//     surviving path, up to a redrive budget. The group keys every live
-//     command by a group sequence number; erasing the entry before
-//     delivering the application callback is the exactly-once fence — a
-//     late duplicate completion from a half-dead path finds nothing to
-//     complete and is counted, not delivered.
+//   * Seamless failover: a command that fails because the path carrying it
+//     died is re-driven on a surviving path. Any other answer, error or
+//     not, is the command's answer. A dead path never comes back, so a
+//     command moves at most N-1 times. The group keys every live command
+//     by a group sequence number; erasing the entry before delivering the
+//     application callback is the exactly-once fence — a late duplicate
+//     completion from a half-dead path finds nothing to complete and is
+//     counted, not delivered.
 //   * Parking: when no path is currently eligible but not all are dead,
-//     submissions wait in a deque and drain the moment a path connects or
-//     an ANA notice re-opens one.
+//     submissions wait in a deque (at most kMaxParked) and drain the moment
+//     a path connects or an ANA notice re-opens one.
 //
 // A single-path group degenerates to plain NvmfInitiator semantics: the
 // one path keeps its own reconnect/replay machinery (there is nowhere else
@@ -45,16 +46,17 @@ namespace oaf::nvmf {
 
 struct PathGroupOptions {
   std::string name = "pg0";
+};
+
+class PathGroup final : public IoSession {
+ public:
   /// Bound on the parked queue (DESIGN.md §12). A submission arriving while
   /// this many commands already wait for a path fails fast with kQueueFull
   /// instead of growing the queue without limit during a long outage.
   /// Deliberately generous: parking is the normal failover buffer; the cap
   /// only exists so memory stays bounded when no path comes back.
-  u32 max_parked = 1024;
-};
+  static constexpr u32 kMaxParked = 1024;
 
-class PathGroup final : public IoSession {
- public:
   PathGroup(Executor& exec, PathGroupOptions opts,
             std::unique_ptr<PathSelector> selector);
   ~PathGroup() override {
@@ -130,7 +132,7 @@ class PathGroup final : public IoSession {
   [[nodiscard]] u64 parked_total() const OAF_REQUIRES_SHARED(exec_serial_) {
     return parked_total_;
   }
-  /// Submissions failed fast with kQueueFull at the max_parked bound.
+  /// Submissions failed fast with kQueueFull at the kMaxParked bound.
   [[nodiscard]] u64 park_overflows() const OAF_REQUIRES_SHARED(exec_serial_) {
     return park_overflows_;
   }
@@ -169,7 +171,6 @@ class PathGroup final : public IoSession {
     std::span<u8> rdata;
     IoCb cb;
     IdentifyCb identify_cb;
-    u32 redrives = 0;
     u32 path = 0;  ///< current path index (valid while issued, not parked)
     /// When a redrive pulled this command off its path: the gap until it is
     /// re-issued (including any parked wait) is attributed as kDetour —
@@ -190,7 +191,7 @@ class PathGroup final : public IoSession {
   void dispatch(u64 gseq) OAF_REQUIRES(exec_serial_);
   void issue_on_path(u64 gseq, u32 path_index) OAF_REQUIRES(exec_serial_);
   /// A path's answer for `gseq` (`res` for I/O, `identified` for identify):
-  /// drop a late duplicate, re-drive a failure within budget, else finish.
+  /// drop a late duplicate, move a failure off a dead path, else finish.
   void on_result(u64 gseq, const IoResult& res,
                  Result<std::pair<u32, u64>> identified)
       OAF_REQUIRES(exec_serial_);
@@ -206,10 +207,6 @@ class PathGroup final : public IoSession {
   void note_redrive(u64 gseq, GroupCmd& cmd) OAF_REQUIRES(exec_serial_);
   void drain_parked() OAF_REQUIRES(exec_serial_);
   void fail_all_parked() OAF_REQUIRES(exec_serial_);
-  [[nodiscard]] static bool redrivable(const IoResult& res) {
-    return res.cpl.status == pdu::NvmeStatus::kDataTransferError ||
-           res.cpl.status == pdu::NvmeStatus::kAbortedByRequest;
-  }
 
   Executor& exec_;
   /// Executor-affinity capability: group state and every path it owns live
@@ -236,7 +233,7 @@ class PathGroup final : public IoSession {
   u64 parked_total_
       OAF_GUARDED_BY(exec_serial_) = 0;  ///< submissions that ever waited
   u64 park_overflows_
-      OAF_GUARDED_BY(exec_serial_) = 0;  ///< fast-failed at max_parked
+      OAF_GUARDED_BY(exec_serial_) = 0;  ///< fast-failed at kMaxParked
   u64 duplicates_suppressed_
       OAF_GUARDED_BY(exec_serial_) = 0;  ///< late completions fenced
   u32 displaced_

@@ -293,14 +293,25 @@ bool NvmfTargetConnection::shed_oldest() {
                               exec_.now());
   OAF_WARN_RL("target %s: shedding cid %u under overload",
               opts_.connection_name.c_str(), victim);
-  if (ep_.shm_attached()) {
-    // A half-staged payload must not greet the slot's next owner.
-    ep_.abandon_slot(victim);
-  }
-  // Late transfer PDUs for the shed command are raced, not hostile.
-  recently_aborted_.insert(victim);
-  send_resp(victim, {victim, NvmeStatus::kQueueFull, 0}, 0);
+  cancel(victim, NvmeStatus::kQueueFull);
   return true;
+}
+
+void NvmfTargetConnection::cancel(u16 cid, NvmeStatus status) {
+  IoCtx& ctx = inflight_.at(cid);
+  if (ctx.device_busy || ctx.copies_in_flight > 0) {
+    // The device (or an in-flight shm copy) still references the staging
+    // buffer; park it with the zombie until that completion fires. The
+    // charge moves with it — the memory is still pinned.
+    zombie_buffers_[ctx.seq] = std::move(ctx.buffer);
+  } else if (ep_.shm_attached()) {
+    // Waiting on data: drop whatever the command parked in its slot so the
+    // next command to use it starts clean.
+    ep_.abandon_slot(cid);
+  }
+  // Late transfer PDUs for the command are raced, not hostile.
+  recently_aborted_.insert(cid);
+  send_resp(cid, {cid, status, 0}, 0);
 }
 
 void NvmfTargetConnection::evict(const std::string& reason) {
@@ -514,27 +525,15 @@ void NvmfTargetConnection::handle_abort(u16 cid) {
   const auto vit = inflight_.find(victim);
   if (vit != inflight_.end() && victim != cid &&
       (vgen == 0 || vit->second.gen == 0 || vit->second.gen == vgen)) {
-    IoCtx& vctx = vit->second;
     commands_aborted_++;
     telemetry::bump(tel_.cmds_aborted);
     result = 0;
     OAF_WARN_RL("target: aborting cid %u (device_busy=%d)", victim,
-             static_cast<int>(vctx.device_busy));
-    if (vctx.device_busy || vctx.copies_in_flight > 0) {
-      // The device (or an in-flight shm copy) still references the staging
-      // buffer; park it with the zombie until that completion fires. The
-      // charge moves with it — the memory is still pinned.
-      zombie_buffers_[vctx.seq] = std::move(vctx.buffer);
-    } else if (ep_.shm_attached()) {
-      // Waiting on data: drop whatever the victim parked in its slot so the
-      // next command to use it starts clean.
-      ep_.abandon_slot(victim);
-    }
-    recently_aborted_.insert(victim);
+             static_cast<int>(vit->second.device_busy));
     // Victim completion first, then the abort's own — the host normally
     // closes the victim off the former and only consults the latter when
     // the victim's completion was itself lost.
-    send_resp(victim, {victim, NvmeStatus::kAbortedByRequest, 0}, 0);
+    cancel(victim, NvmeStatus::kAbortedByRequest);
   }
   send_resp(cid, {cid, NvmeStatus::kSuccess, result}, 0);
 }

@@ -234,6 +234,10 @@ class NvmfTargetConnection {
       OAF_REQUIRES(exec_serial_);
   void handle_admin(u16 cid) OAF_REQUIRES(exec_serial_);
   void handle_abort(u16 cid) OAF_REQUIRES(exec_serial_);
+  /// The one way a command ends early (abort or shed): a staging buffer the
+  /// device or an shm copy still uses parks as a zombie, an idle command's
+  /// slot is abandoned, late transfer PDUs are fenced, and `status` is sent.
+  void cancel(u16 cid, pdu::NvmeStatus status) OAF_REQUIRES(exec_serial_);
   void finish_read(IoCtx& ctx, pdu::NvmeCpl cpl, DurNs io_time)
       OAF_REQUIRES(exec_serial_);
 

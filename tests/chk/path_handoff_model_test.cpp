@@ -6,7 +6,7 @@
 // later event for the same gseq finds nothing and is suppressed. The group
 // itself runs on one executor, so the events are serialized — but they can
 // arrive in ANY order (a half-dead path's late duplicate can land before or
-// after the redriven path's completion, an abort can race a redrive). The
+// after the redriven path's completion, paths can die in any order). The
 // models below run the same fence protocol under the model checker with a
 // chk::mutex standing in for event-loop serialization, proving delivery is
 // exactly-once and commands are never lost under every arrival order the
@@ -62,75 +62,86 @@ TEST(ChkPathHandoff, LateDuplicateCompletionDeliversExactlyOnce) {
   EXPECT_TRUE(r.exhausted);
 }
 
-/// Redrive racing abort: one event is a transport-shaped failure that wants
-/// to re-issue the command (budget permitting), the other an abort-shaped
-/// failure, and a third the eventual success of whichever re-issue landed.
-/// Whatever interleaving the loop produces, the application sees exactly
-/// one terminal callback and the redrive count never exceeds the budget.
-struct RedriveVsAbortModel {
-  static constexpr u32 kThreads = 3;
-  static constexpr u32 kBudget = 1;
+/// Fail over, never retry (DESIGN.md §11.4): the path carrying a command
+/// is the only place that retries it, and the group moves the command only
+/// when that path died. `kDeaths` of three paths die, in any order, while
+/// the path that carries the command may answer it first with an error of
+/// its own. A failure moves the command only when its path is dead and
+/// another path is not; a dead path never comes back, so the command moves
+/// at most N - 1 times. Whatever the order, the application sees exactly
+/// one answer, and nothing is left live.
+template <u32 kDeaths>
+struct FailoverOnlyOffDeadPathsModel {
+  static constexpr u32 kPaths = 3;
+  static constexpr u32 kThreads = kDeaths + 1;  ///< one per death + answer
 
   oaf::chk::mutex mu;
+  bool dead[kPaths] = {};
   bool live = true;
-  u32 redrives = 0;
-  int delivered_ok = 0;
-  int delivered_err = 0;
-  int suppressed = 0;
+  u32 path = 0;  ///< the path carrying the command
+  u32 moves = 0;
+  int delivered = 0;
+  bool misrouted = false;  ///< a failure moved or surfaced against the rule
 
-  /// A redrivable failure (kDataTransferError / kAbortedByRequest): consume
-  /// budget and re-issue, or surface the error through the fence.
-  void fail_redrivable() {
-    mu.lock();
-    if (!live) {
-      suppressed++;
-      mu.unlock();
-      return;
+  [[nodiscard]] bool all_dead() const {
+    for (const bool d : dead) {
+      if (!d) return false;
     }
-    if (redrives < kBudget) {
-      redrives++;  // command stays live, re-issued on a survivor
-      mu.unlock();
-      return;
-    }
-    live = false;  // budget exhausted: erase, then deliver the error
-    mu.unlock();
-    delivered_err++;
+    return true;
   }
 
-  void complete_ok() {
-    mu.lock();
-    const bool won = live;
-    if (won) live = false;
-    mu.unlock();
-    if (won) {
-      delivered_ok++;
-    } else {
-      mu.lock();
-      suppressed++;
-      mu.unlock();
+  /// PathGroup::on_result for a failure from path `from`.
+  void on_failure(u32 from) {
+    if (!live) return;  // late duplicate: fenced
+    if (dead[from] && !all_dead()) {
+      u32 next = 0;
+      while (dead[next]) next++;  // any survivor will do
+      misrouted |= !dead[from] || dead[next];
+      path = next;
+      moves++;
+      return;
     }
+    live = false;  // erase, then deliver
+    delivered++;
+    misrouted |= dead[from] && !all_dead();
   }
 
   void thread(u32 t) {
-    if (t == 2) {
-      complete_ok();
-    } else {
-      fail_redrivable();
+    mu.lock();
+    if (t < kDeaths) {
+      // Path t dies: abort_connection fails what it carries.
+      dead[t] = true;
+      if (path == t) on_failure(t);
+    } else if (!dead[path]) {
+      // The live carrier answers with an error of its own: the answer.
+      on_failure(path);
     }
+    mu.unlock();
   }
 
   void finish() {
-    CHK_ASSERT(delivered_ok + delivered_err == 1,
+    CHK_ASSERT(delivered == 1,
                "application saw zero or multiple terminal callbacks");
-    CHK_ASSERT(redrives <= kBudget, "redrive budget exceeded");
     CHK_ASSERT(!live, "command leaked: still live after all events");
+    CHK_ASSERT(moves <= kPaths - 1, "a command moved more than N-1 times");
+    CHK_ASSERT(!misrouted,
+               "a live path's failure moved, a command moved onto a dead "
+               "path, or a dead path's failure surfaced with a survivor left");
   }
 };
 
-TEST(ChkPathHandoff, RedriveAbortSuccessRaceIsExactlyOnce) {
-  const RunResult r = oaf::chk::check<RedriveVsAbortModel>();
+template <class Model>
+void check_every_interleaving() {
+  oaf::chk::Options opts;
+  opts.preemption_bound = -1;  // every interleaving, not a bounded sample
+  const RunResult r = oaf::chk::check<Model>(opts);
   EXPECT_TRUE(r.ok) << r.report();
   EXPECT_TRUE(r.exhausted);
+}
+
+TEST(ChkPathHandoff, FailoverOnlyOffDeadPathsIsExactlyOnceAndBounded) {
+  check_every_interleaving<FailoverOnlyOffDeadPathsModel<2>>();  // one lives
+  check_every_interleaving<FailoverOnlyOffDeadPathsModel<3>>();  // all die
 }
 
 /// Parking vs drain: submissions that find no eligible path park; a path

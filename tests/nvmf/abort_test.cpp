@@ -143,7 +143,7 @@ struct AbortHarness {
 
 InitiatorOptions ladder_opts(u32 abort_budget, DurNs timeout = 1'000'000) {
   InitiatorOptions iopts{af::AfConfig::oaf(), 8, "abort", timeout, {}};
-  iopts.escalation.abort_budget = abort_budget;
+  iopts.recovery.abort_budget = abort_budget;
   return iopts;
 }
 
@@ -224,23 +224,23 @@ TEST(AbortTest, LostCompletionIsReplayedInPlace) {
   EXPECT_FALSE(init->dead());
 }
 
-TEST(AbortTest, FailedAbortsDemoteShmThenSecondAbortLands) {
+TEST(AbortTest, FailedAbortsDemoteShmThenThirdAbortLands) {
   AbortHarness h;
-  InitiatorOptions iopts = ladder_opts(/*abort_budget=*/2);
-  iopts.escalation.demote_after_failed_aborts = 1;
-  auto init = h.make_initiator(iopts);
+  auto init = h.make_initiator(ladder_opts(/*abort_budget=*/3));
   h.sched.run_until(500'000);
   ASSERT_TRUE(init->connected());
   ASSERT_TRUE(init->shm_active());
 
-  // The first Abort vanishes on the wire. Its timeout is the signal the
-  // ladder treats as "control path struggling while shm is active" and the
-  // data path demotes before the retry.
+  // The first two Aborts vanish on the wire. Their consecutive timeouts
+  // (RecoveryPolicy::kDemoteAfterFailedAborts) are the signal the ladder
+  // treats as "control path struggling while shm is active", and the data
+  // path demotes before the next retry.
+  static_assert(RecoveryPolicy::kDemoteAfterFailedAborts == 2);
   int aborts_dropped = 0;
   h.client_ch->set_fault([&](pdu::Pdu& p) {
     if (auto* c = p.as<pdu::CapsuleCmd>();
         c != nullptr && c->cmd.opcode == pdu::NvmeOpcode::kAbort &&
-        aborts_dropped == 0) {
+        aborts_dropped < 2) {
       aborts_dropped++;
       return false;
     }
@@ -253,10 +253,11 @@ TEST(AbortTest, FailedAbortsDemoteShmThenSecondAbortLands) {
   h.sched.run();
 
   EXPECT_EQ(read_status, pdu::NvmeStatus::kAbortedByRequest);
+  EXPECT_EQ(aborts_dropped, 2);
   EXPECT_FALSE(init->shm_active());  // rung two fired
   EXPECT_EQ(init->resilience().shm_demotions, 1u);
-  EXPECT_EQ(init->resilience().aborts_sent, 2u);
-  EXPECT_EQ(init->resilience().aborts_failed, 1u);
+  EXPECT_EQ(init->resilience().aborts_sent, 3u);
+  EXPECT_EQ(init->resilience().aborts_failed, 2u);
   EXPECT_EQ(init->resilience().aborts_succeeded, 1u);
   EXPECT_EQ(init->resilience().reconnects, 0u);
   EXPECT_FALSE(init->dead());
@@ -273,11 +274,9 @@ TEST(AbortTest, FailedAbortsDemoteShmThenSecondAbortLands) {
 TEST(AbortTest, AbortBudgetExhaustedHandsOffToReconnect) {
   AbortHarness h;
   InitiatorOptions iopts = ladder_opts(/*abort_budget=*/2);
-  iopts.escalation.demote_after_failed_aborts = 1;
-  iopts.reconnect.max_attempts = 3;
-  iopts.reconnect.initial_backoff_ns = 1'000'000;
-  iopts.reconnect.handshake_timeout_ns = 10'000'000;
-  iopts.reconnect.max_command_retries = 0;  // the stuck read fails, once
+  iopts.recovery.max_attempts = 3;
+  iopts.recovery.handshake_timeout_ns = 10'000'000;
+  iopts.recovery.max_command_retries = 0;  // the stuck read fails, once
   auto init = h.make_initiator(iopts);
   h.sched.run_until(500'000);
   ASSERT_TRUE(init->connected());
@@ -448,7 +447,7 @@ TEST(AbortTest, CorruptedSlotLenDemotesBothEndsWithoutTeardown) {
 TEST(AbortTest, OrphanSlotSweepReclaimsSlotOfExpiredOwner) {
   AbortHarness h;
   InitiatorOptions iopts{af::AfConfig::oaf(), 8, "abort", 0, {}};
-  iopts.reconnect.kato_ns = 2'000'000;  // the target's stuck window
+  iopts.recovery.kato_ns = 2'000'000;  // the target's stuck window
   auto init = h.make_initiator(iopts);
   h.sched.run_until(500'000);
   ASSERT_TRUE(init->connected());

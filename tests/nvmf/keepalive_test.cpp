@@ -56,13 +56,11 @@ struct KaHarness {
   net::FaultChannel* target_ch = nullptr;
 };
 
-InitiatorOptions ka_opts(DurNs ka_interval, u32 miss_limit = 3) {
+InitiatorOptions ka_opts(DurNs ka_interval) {
   InitiatorOptions iopts{af::AfConfig::oaf(), 8, "ka", 0, {}};
-  iopts.reconnect.max_attempts = 5;
-  iopts.reconnect.initial_backoff_ns = 1'000'000;
-  iopts.reconnect.handshake_timeout_ns = 10'000'000;
-  iopts.reconnect.keepalive_interval_ns = ka_interval;
-  iopts.reconnect.keepalive_miss_limit = miss_limit;
+  iopts.recovery.max_attempts = 5;
+  iopts.recovery.handshake_timeout_ns = 10'000'000;
+  iopts.recovery.keepalive_interval_ns = ka_interval;
   return iopts;
 }
 
@@ -78,7 +76,7 @@ TEST(KeepAliveTest, PingsAreEchoedAndNoMissesOnHealthyChannel) {
 
 TEST(KeepAliveTest, MissLimitTriggersRecoveryAndReconnect) {
   KaHarness h;
-  auto init = h.make_initiator(ka_opts(1'000'000, 3));
+  auto init = h.make_initiator(ka_opts(1'000'000));
   h.sched.run_until(500'000);  // handshake settles at t=0
   ASSERT_TRUE(init->connected());
 
@@ -98,7 +96,7 @@ TEST(KeepAliveTest, MissLimitTriggersRecoveryAndReconnect) {
 TEST(KeepAliveTest, TargetReapsExpiredAssociationAndAcceptsSameName) {
   KaHarness h;
   InitiatorOptions iopts{af::AfConfig::oaf(), 8, "ka", 0, {}};
-  iopts.reconnect.kato_ns = 5'000'000;  // advertised in ICReq
+  iopts.recovery.kato_ns = 5'000'000;  // advertised in ICReq
   auto init = h.make_initiator(iopts);
   h.sched.run_until(500'000);
   ASSERT_TRUE(init->connected());

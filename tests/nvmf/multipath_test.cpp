@@ -76,8 +76,7 @@ struct MultipathHarness {
   static constexpr u32 kMaxPaths = 4;
 
   explicit MultipathHarness(u32 npaths,
-                            std::unique_ptr<PathSelector> selector = nullptr,
-                            u32 max_parked = 1024)
+                            std::unique_ptr<PathSelector> selector = nullptr)
       : broker(npaths), device(sched, 512, 1 << 18), subsystem("nqn.mp") {
     (void)subsystem.add_namespace(1, &device);
     TargetServiceOptions sopts;
@@ -86,7 +85,6 @@ struct MultipathHarness {
                                                   subsystem, sopts);
     PathGroupOptions gopts;
     gopts.name = "mp";
-    gopts.max_parked = max_parked;
     group = std::make_unique<PathGroup>(sched, std::move(gopts),
                                         std::move(selector));
     for (u32 i = 0; i < npaths; ++i) {
@@ -94,9 +92,8 @@ struct MultipathHarness {
           i == 0 ? af::AfConfig::oaf() : af::AfConfig::stock_tcp();
       InitiatorOptions iopts{cfg, 8, path_name(i), 0, {}};
       iopts.command_timeout_ns = 5'000'000;
-      iopts.reconnect.max_attempts = 10;
-      iopts.reconnect.initial_backoff_ns = 1'000'000;
-      iopts.reconnect.handshake_timeout_ns = 10'000'000;
+      iopts.recovery.max_attempts = 10;
+      iopts.recovery.handshake_timeout_ns = 10'000'000;
       group->add_path(std::make_unique<NvmfInitiator>(
           sched, [this, i] { return dial(i); }, copier, broker, iopts));
     }
@@ -265,6 +262,38 @@ TEST(MultipathTest, AllPathsDeadFailsCleanlyWithoutHanging) {
   EXPECT_EQ(h.group->parked_now(), 0u);
 }
 
+TEST(MultipathTest, LivePathFailureIsTheCommandsAnswer) {
+  // The path is the only place that retries a command; the group moves a
+  // command only off a path that died. A read that fails on a live path
+  // reaches the caller after a single attempt, not after a round of
+  // re-drives.
+  MultipathHarness h(2);
+  h.sched.run();
+  ASSERT_TRUE(h.all_connected());
+  for (u32 i = 0; i < 2; ++i) {
+    h.target_ch[i]->set_fault([](pdu::Pdu& p) {
+      if (auto* c2h = p.as<pdu::C2HData>()) c2h->offset = u64{1} << 40;
+      return true;
+    });
+  }
+
+  std::vector<u8> rbuf(4096);
+  std::vector<pdu::NvmeStatus> answers;
+  h.group->read(1, 0, rbuf, [&](IoSession::IoResult r) {
+    answers.push_back(r.cpl.status);
+  });
+  h.sched.run();
+
+  ASSERT_EQ(answers.size(), 1u);
+  EXPECT_EQ(answers[0], pdu::NvmeStatus::kDataTransferError);
+  EXPECT_EQ(h.group->redrives(), 0u);
+  EXPECT_EQ(h.group->path(0).ios_completed() + h.group->path(1).ios_completed(),
+            1u);
+  EXPECT_FALSE(h.group->path(0).dead());
+  EXPECT_FALSE(h.group->path(1).dead());
+  EXPECT_EQ(h.group->live_now(), 0u);
+}
+
 // --------------------------------------------------------------------------
 // ANA steering
 // --------------------------------------------------------------------------
@@ -339,9 +368,10 @@ TEST(MultipathTest, InaccessibleEverywhereParksUntilReopened) {
 
 TEST(MultipathTest, ParkOverflowFailsFastWithQueueFull) {
   // Bounded parked queue (DESIGN.md §12): with every path held in an ANA
-  // maintenance window, only max_parked submissions wait; the excess fails
+  // maintenance window, only kMaxParked submissions wait; the excess fails
   // fast with retryable kQueueFull instead of growing the queue forever.
-  MultipathHarness h(2, nullptr, /*max_parked=*/4);
+  constexpr u32 kParked = PathGroup::kMaxParked;
+  MultipathHarness h(2);
   h.sched.run();
   ASSERT_TRUE(h.all_connected());
   for (u32 i = 0; i < 2; ++i) {
@@ -354,7 +384,7 @@ TEST(MultipathTest, ParkOverflowFailsFastWithQueueFull) {
   std::vector<u8> data(4096, 0xA5);
   std::vector<pdu::NvmeStatus> overflowed;
   int completed_ok = 0;
-  for (int i = 0; i < 10; ++i) {
+  for (u32 i = 0; i < kParked + 6; ++i) {
     h.group->write(1, static_cast<u64>(i) * 8, data,
                    [&](IoSession::IoResult r) {
                      if (r.ok()) {
@@ -366,19 +396,19 @@ TEST(MultipathTest, ParkOverflowFailsFastWithQueueFull) {
   }
   h.sched.run();
 
-  EXPECT_EQ(h.group->parked_now(), 4u);
+  EXPECT_EQ(h.group->parked_now(), kParked);
   EXPECT_EQ(h.group->park_overflows(), 6u);
   ASSERT_EQ(overflowed.size(), 6u);
   for (const auto s : overflowed) EXPECT_EQ(s, pdu::NvmeStatus::kQueueFull);
   EXPECT_EQ(completed_ok, 0);
 
-  // Drain after recovery: reopening one path completes the parked four
-  // exactly once each, and the overflow left no stuck live entries.
+  // Drain after recovery: reopening one path completes every parked write
+  // exactly once, and the overflow left no stuck live entries.
   ASSERT_TRUE(h.service->set_ana_state(MultipathHarness::path_name(0),
                                        pdu::AnaState::kOptimized,
                                        "maintenance done"));
   h.sched.run();
-  EXPECT_EQ(completed_ok, 4);
+  EXPECT_EQ(completed_ok, static_cast<int>(kParked));
   EXPECT_EQ(h.group->parked_now(), 0u);
   EXPECT_EQ(h.group->live_now(), 0u);
 }
@@ -386,7 +416,8 @@ TEST(MultipathTest, ParkOverflowFailsFastWithQueueFull) {
 TEST(MultipathTest, GroupStillUsableAfterParkOverflow) {
   // The fast-fail path must leave the group coherent: once a path returns,
   // fresh submissions flow normally and nothing double-completes.
-  MultipathHarness h(2, nullptr, /*max_parked=*/2);
+  constexpr u32 kParked = PathGroup::kMaxParked;
+  MultipathHarness h(2);
   h.sched.run();
   ASSERT_TRUE(h.all_connected());
   for (u32 i = 0; i < 2; ++i) {
@@ -395,7 +426,7 @@ TEST(MultipathTest, GroupStillUsableAfterParkOverflow) {
   }
   h.sched.run();
 
-  Burst first(6);  // 2 park, 4 overflow
+  Burst first(static_cast<int>(kParked) + 4);  // kParked park, 4 overflow
   first.submit(*h.group);
   h.sched.run();
   EXPECT_EQ(h.group->park_overflows(), 4u);
@@ -406,7 +437,7 @@ TEST(MultipathTest, GroupStillUsableAfterParkOverflow) {
                                          pdu::AnaState::kOptimized, "done"));
   }
   h.sched.run();
-  EXPECT_EQ(first.ok, 2);
+  EXPECT_EQ(first.ok, static_cast<int>(kParked));
   EXPECT_TRUE(first.each_exactly_once());
 
   Burst second(8);

@@ -26,8 +26,7 @@ InitiatorOptions storm_opts(const std::string& name, u32 qd) {
   InitiatorOptions iopts{af::AfConfig::stock_tcp(), qd, name, 0, {}};
   // A storm produces many kQueueFull rounds per command; give the in-place
   // retry ladder room so backpressure never turns into an app-visible error.
-  iopts.reconnect.max_command_retries = 64;
-  iopts.reconnect.initial_backoff_ns = 1'000'000;
+  iopts.recovery.max_command_retries = 64;
   return iopts;
 }
 
@@ -151,7 +150,7 @@ TEST(OverloadTest, CongestedSignalRisesUnderPushbackAndRetryBudgetBounds) {
   sopts.global_staging_bytes = 4096;
   OverloadHarness h(sopts);
   InitiatorOptions iopts = storm_opts("cong", 8);
-  iopts.reconnect.max_command_retries = 5;
+  iopts.recovery.max_command_retries = 5;
   NvmfInitiator* init = h.add_initiator(iopts);
   init->connect([](Status) {});
   h.sched.run();
@@ -202,8 +201,8 @@ TEST(OverloadTest, ConnectAdmissionCapRejectsThenAdmitsAfterRelease) {
   // The second client is turned away with an explicit verdict and keeps
   // re-dialing on the reconnect ladder.
   InitiatorOptions iopts2 = storm_opts("second", 4);
-  iopts2.reconnect.max_attempts = 20;
-  iopts2.reconnect.handshake_timeout_ns = 10'000'000;
+  iopts2.recovery.max_attempts = 20;
+  iopts2.recovery.handshake_timeout_ns = 10'000'000;
   NvmfInitiator* second = h.add_initiator(iopts2);
   Status second_connect = Status::ok();
   second->connect([&](Status st) { second_connect = st; });
@@ -233,7 +232,7 @@ TEST(OverloadTest, ConnectRejectFailsFastWithoutReconnectPolicy) {
   // No reconnect machinery (max_attempts 0): the rejection surfaces as a
   // typed retryable error instead of hanging the connect callback.
   InitiatorOptions iopts2 = storm_opts("two", 4);
-  iopts2.reconnect.max_attempts = 0;
+  iopts2.recovery.max_attempts = 0;
   NvmfInitiator* second = h.add_initiator(iopts2);
   Status st = Status::ok();
   bool fired = false;
@@ -292,8 +291,8 @@ TEST(OverloadTest, SlowClientIsEvictedAndChargesReturn) {
   sopts.stall_timeout_ns = 1;  // any in-flight command counts as stalled
   OverloadHarness h(sopts);
   InitiatorOptions iopts = storm_opts("slow", 4);
-  iopts.reconnect.max_attempts = 10;
-  iopts.reconnect.handshake_timeout_ns = 10'000'000;
+  iopts.recovery.max_attempts = 10;
+  iopts.recovery.handshake_timeout_ns = 10'000'000;
   NvmfInitiator* init = h.add_initiator(iopts);
   init->connect([](Status) {});
   h.sched.run();

@@ -5,6 +5,7 @@
 // so every scenario replays deterministically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 
 #include "af/locality.h"
@@ -21,9 +22,8 @@ namespace {
 InitiatorOptions resilient_opts(af::AfConfig cfg = af::AfConfig::oaf()) {
   InitiatorOptions iopts{cfg, 8, "reconn", 0, {}};
   iopts.command_timeout_ns = 5'000'000;
-  iopts.reconnect.max_attempts = 10;
-  iopts.reconnect.initial_backoff_ns = 1'000'000;
-  iopts.reconnect.handshake_timeout_ns = 10'000'000;
+  iopts.recovery.max_attempts = 10;
+  iopts.recovery.handshake_timeout_ns = 10'000'000;
   return iopts;
 }
 
@@ -162,7 +162,7 @@ TEST(ReconnectTest, PartitionThenHealReconnectsAndFlushesQueue) {
 
 TEST(ReconnectTest, ExhaustedAttemptsAbortTheAssociation) {
   InitiatorOptions iopts = resilient_opts();
-  iopts.reconnect.max_attempts = 2;
+  iopts.recovery.max_attempts = 2;
   ReconnectHarness h(iopts);
   h.sched.run();
   ASSERT_TRUE(h.initiator->connected());
@@ -179,6 +179,80 @@ TEST(ReconnectTest, ExhaustedAttemptsAbortTheAssociation) {
   EXPECT_NE(status, pdu::NvmeStatus::kSuccess);  // failed exactly once
   EXPECT_EQ(h.initiator->resilience().reconnects, 0u);
   EXPECT_GE(h.initiator->resilience().reconnect_failures, 2u);
+}
+
+// A zero-copy write ticket reserves a cid and a slot of one association's
+// shm region. It is not a command: a reconnect neither replays it nor frees
+// its cid, and once the ticket comes back its write fails alone.
+TEST(ReconnectTest, TicketHeldAcrossReconnectIsVoidedNotReplayed) {
+  ReconnectHarness h(resilient_opts());
+  h.sched.run();
+  ASSERT_TRUE(h.initiator->supports_zero_copy());
+  auto ticket = h.initiator->zero_copy_write_begin(4096);
+  ASSERT_TRUE(ticket.is_ok()) << ticket.status().to_string();
+
+  h.initiator->force_recover("test: ticket outlives its association");
+  h.sched.run();
+  ASSERT_TRUE(h.initiator->connected());
+  EXPECT_EQ(h.initiator->resilience().reconnects, 1u);
+  // Nothing was replayed in the ticket's place.
+  EXPECT_EQ(h.initiator->ios_completed(), 0u);
+  EXPECT_EQ(h.service->commands_served(), 0u);
+  EXPECT_EQ(h.initiator->resilience().commands_retried, 0u);
+  // The buffer still points into live memory: the old mapping is kept
+  // until the ticket comes back.
+  std::fill(ticket.value().buffer.begin(), ticket.value().buffer.end(), 0x7E);
+
+  // A full queue of writes: none may take the ticket's cid.
+  std::vector<u8> data(4096, 0x3C);
+  int writes_ok = 0;
+  int writes_failed = 0;
+  for (int i = 0; i < 8; ++i) {
+    h.initiator->write(1, static_cast<u64>(i) * 8, data,
+                       [&](NvmfInitiator::IoResult r) {
+                         (r.ok() ? writes_ok : writes_failed)++;
+                       });
+  }
+  std::vector<pdu::NvmeStatus> ticket_answers;
+  h.initiator->zero_copy_write(ticket.value(), 1, 64, 4096,
+                               [&](NvmfInitiator::IoResult r) {
+                                 ticket_answers.push_back(r.cpl.status);
+                               });
+  h.sched.run();
+
+  ASSERT_EQ(ticket_answers.size(), 1u);
+  EXPECT_EQ(ticket_answers[0], pdu::NvmeStatus::kDataTransferError);
+  EXPECT_EQ(writes_ok, 8);
+  EXPECT_EQ(writes_failed, 0);
+  EXPECT_EQ(h.initiator->ios_completed(), 8u);
+  EXPECT_EQ(h.service->commands_served(), 8u);
+  EXPECT_EQ(h.initiator->inflight_count(), 0u);
+}
+
+TEST(ReconnectTest, TicketSubmittedAfterTeardownFailsFast) {
+  InitiatorOptions iopts = resilient_opts();
+  iopts.recovery.max_attempts = 0;  // a fault tears the association down
+  ReconnectHarness h(iopts);
+  h.sched.run();
+  ASSERT_TRUE(h.initiator->supports_zero_copy());
+  auto ticket = h.initiator->zero_copy_write_begin(4096);
+  ASSERT_TRUE(ticket.is_ok()) << ticket.status().to_string();
+
+  h.initiator->force_recover("test: teardown with a ticket out");
+  h.sched.run();
+  ASSERT_TRUE(h.initiator->dead());
+
+  int answers = 0;
+  pdu::NvmeStatus status = pdu::NvmeStatus::kSuccess;
+  h.initiator->zero_copy_write(ticket.value(), 1, 0, 4096,
+                               [&](NvmfInitiator::IoResult r) {
+                                 answers++;
+                                 status = r.cpl.status;
+                               });
+  h.sched.run();
+  EXPECT_EQ(answers, 1);
+  EXPECT_EQ(status, pdu::NvmeStatus::kDataTransferError);
+  EXPECT_EQ(h.initiator->ios_completed(), 0u);
 }
 
 TEST(ReconnectTest, CorruptedReadPayloadWithDigestRetriesInPlace) {
@@ -304,10 +378,9 @@ TEST(ReconnectTest, RetriedCommandLatencySpansAllAttempts) {
 TEST(ReconnectTest, TenThousandIoBurstSurvivesLossAndDisconnect) {
   InitiatorOptions iopts{af::AfConfig::oaf(), 16, "reconn", 0, {}};
   iopts.command_timeout_ns = 50'000'000;
-  iopts.reconnect.max_attempts = 50;
-  iopts.reconnect.initial_backoff_ns = 100'000;
-  iopts.reconnect.handshake_timeout_ns = 10'000'000;
-  iopts.reconnect.max_command_retries = 100;
+  iopts.recovery.max_attempts = 50;
+  iopts.recovery.handshake_timeout_ns = 10'000'000;
+  iopts.recovery.max_command_retries = 100;
   ReconnectHarness h(iopts);
   h.dial_policy.drop_prob = 0.01;
   h.dial_policy.seed = 42;

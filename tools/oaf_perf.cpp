@@ -59,7 +59,7 @@ struct Options {
   bool data_digest = false;    // CRC32C on inline data PDUs
   u64 cmd_timeout_ms = 0;      // per-command deadline; 0 = none
   u32 abort_budget = 0;        // aborts per stuck command; 0 = legacy teardown
-  u32 cmd_retries = 3;         // in-place retry budget (kQueueFull, replays)
+  u32 cmd_retries = 3;         // retries per command, on the path carrying it
   // multipath knobs
   u32 paths = 1;               // associations in the path group
   std::string selector = "round-robin";  // round-robin|queue-depth|latency-ewma
@@ -183,7 +183,9 @@ bool parse_args(int argc, char** argv, Options& o) {
           "                [--reconnect-attempts N] [--keepalive-ms MS]\n"
           "                [--kato-ms MS] [--data-digest]\n"
           "                [--cmd-timeout-ms MS] [--abort-budget N]\n"
-          "                [--cmd-retries N]\n"
+          "                [--cmd-retries N]  (retries per command: replays\n"
+          "                 and in-place retries; a multipath group only\n"
+          "                 moves commands off dead paths)\n"
           "                [--paths N] [--selector NAME]\n"
           "                [--kill-path I] [--kill-after-ms MS]\n"
           "                [--json] [--trace-out FILE] [--metrics-json FILE]\n"
@@ -381,13 +383,13 @@ int main(int argc, char** argv) {
   iopts.af = cfg;
   iopts.queue_depth = opts.qd;
   iopts.connection_name = opts.conn;
-  iopts.reconnect.max_attempts = opts.reconnect_attempts;
-  iopts.reconnect.keepalive_interval_ns =
+  iopts.recovery.max_attempts = opts.reconnect_attempts;
+  iopts.recovery.keepalive_interval_ns =
       static_cast<DurNs>(opts.keepalive_ms) * 1'000'000;
-  iopts.reconnect.kato_ns = opts.kato_ms * 1'000'000;
+  iopts.recovery.kato_ns = opts.kato_ms * 1'000'000;
   iopts.command_timeout_ns = static_cast<DurNs>(opts.cmd_timeout_ms) * 1'000'000;
-  iopts.escalation.abort_budget = opts.abort_budget;
-  iopts.reconnect.max_command_retries = opts.cmd_retries;
+  iopts.recovery.abort_budget = opts.abort_budget;
+  iopts.recovery.max_command_retries = opts.cmd_retries;
 
   // All paths live in one PathGroup; --paths 1 (the default) degenerates to
   // the single-association behaviour this tool always had. Path 0 carries

@@ -185,10 +185,9 @@ int main(int argc, char** argv) {
     iopts.af = af::AfConfig::stock_tcp();
     iopts.queue_depth = static_cast<u32>(opts.queue_depth);
     iopts.connection_name = name;
-    iopts.reconnect.max_attempts = 20;
-    iopts.reconnect.initial_backoff_ns = 1'000'000;
-    iopts.reconnect.handshake_timeout_ns = 10'000'000;
-    iopts.reconnect.max_command_retries = 128;
+    iopts.recovery.max_attempts = 20;
+    iopts.recovery.handshake_timeout_ns = 10'000'000;
+    iopts.recovery.max_command_retries = 128;
     iopts.command_timeout_ns = 50'000'000;
     return iopts;
   };
@@ -247,7 +246,7 @@ int main(int argc, char** argv) {
   // One client past the connect cap: admission control answers with an
   // explicit retryable verdict and the client gives up (no reconnect).
   nvmf::InitiatorOptions extra_iopts = storm_iopts("storm.extra");
-  extra_iopts.reconnect.max_attempts = 0;
+  extra_iopts.recovery.max_attempts = 0;
   auto extra_init = std::make_unique<nvmf::NvmfInitiator>(
       sched, [&dial] { return dial("storm.extra", false); }, copier, broker,
       extra_iopts);
